@@ -26,7 +26,8 @@ from contextvp.pmd import (
     BlendBlock,
     PMDUnit,
     blend,
-    pmd_scan,
+    pmd_layer,
+    pmd_scan,  # not called here; the benchmark tracer patches it by name
 )
 from contextvp.prng import SplitMix64
 from contextvp.serial import NameCollisionError, Reader, Writer, atomic_write
@@ -256,11 +257,9 @@ def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
     outs = []
     cur = x
     for idx, layer in enumerate(model.layers, start=1):
-        if spec.kind == "contextvp":
-            s_list = [pmd_scan(tape, layer.unit_for(d), cur, d) for d in DIRECTIONS]
-            out = blend(tape, s_list, layer.blend_block)
-        else:
-            out = pmd_scan(tape, layer.unit_for("t-"), cur, "t-")
+        out = pmd_layer(tape, {d: layer.unit_for(d) for d in layer.dir_map}, cur)
+        if layer.blend_block is not None:
+            out = blend(tape, out, layer.blend_block)
         outs.append(out)
         carry = out
         for src, dst in spec.skip_pairs:
@@ -333,15 +332,13 @@ def baseline_width_for(target_params: int, n_layers: int = 20, kernel: int = 3,
             width=width, n_layers=n_layers, kernel=kernel, in_channels=in_channels
         ))
 
-    prev = 1
     for width in range(1, max_width + 1):
         if count(width) >= target_params:
             if width == 1:
                 return 1
             below, above = count(width - 1), count(width)
             return width if above - target_params <= target_params - below else width - 1
-        prev = width
-    return prev
+    return max_width
 
 
 # -- serialization -------------------------------------------------------------

@@ -21,6 +21,50 @@ class ShapeError(ValueError):
     pass
 
 
+def im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Patch rows [positions, kh*kw*C] of the same-padded [..., A, B, C]
+    array x, one row per position, ordered (dh, dw, c) like the first three
+    axes of a [kh, kw, C, Cout] kernel. Out-of-range input is zero."""
+    return PatchRows(x.shape, kh, kw)(x)
+
+
+class PatchRows:
+    """`im2col` for a stream of same-shaped [..., A, B, C] arrays. The
+    zero-padded buffer, its window view and the row buffer are made once,
+    so each call is two copies. The rows returned are overwritten by the
+    next call."""
+
+    def __init__(self, shape, kh: int, kw: int):
+        *lead, a, b, c = shape
+        ph, pw = kh // 2, kw // 2
+        padded = np.zeros((*lead, a + 2 * ph, b + 2 * pw, c))
+        self._inner = padded[..., ph:ph + a, pw:pw + b, :]
+        # windows: [..., A, B, C, kh, kw] -> [..., A, B, kh, kw, C]
+        win = sliding_window_view(padded, (kh, kw), axis=(-3, -2))
+        self._windows = np.moveaxis(win, -3, -1)
+        self._patches = np.empty(self._windows.shape)
+        self.rows = self._patches.reshape(-1, kh * kw * c)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self._inner[...] = x
+        np.copyto(self._patches, self._windows)
+        return self.rows
+
+
+def conv_input_grad(g: np.ndarray, kd: np.ndarray) -> np.ndarray:
+    """Gradient of a same-padded conv with kernel kd [kh, kw, Cin, Cout]
+    with respect to its [..., A, B, Cin] input, given the output gradient
+    g [..., A, B, Cout]: one matmul per kernel tap."""
+    kh, kw, cin, _ = kd.shape
+    ph, pw = kh // 2, kw // 2
+    hh, ww = g.shape[-3], g.shape[-2]
+    gxp = np.zeros(g.shape[:-3] + (hh + 2 * ph, ww + 2 * pw, cin))
+    for dh in range(kh):
+        for dw in range(kw):
+            gxp[..., dh:dh + hh, dw:dw + ww, :] += g @ kd[dh, dw].T
+    return gxp[..., ph:ph + hh, pw:pw + ww, :]
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
@@ -77,7 +121,10 @@ class Tape:
 
     # -- engine ----------------------------------------------------------
 
-    def _record(self, kind, inputs, out_data, backward_fn) -> Tensor:
+    def record(self, kind, inputs, out_data, backward_fn) -> Tensor:
+        """Wrap `out_data` as the op's output. When the tape records and
+        some input needs a gradient, also append a node whose
+        `backward_fn(out_grad)` returns one gradient (or None) per input."""
         out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
         if self.recording and out.requires_grad:
             self.nodes.append(_Node(kind, inputs, out, backward_fn))
@@ -115,39 +162,40 @@ class Tape:
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
             raise ShapeError(f"add: shapes {a.data.shape} != {b.data.shape}")
-        return self._record("add", (a, b), a.data + b.data, lambda g: (g, g))
+        return self.record("add", (a, b), a.data + b.data, lambda g: (g, g))
 
     def sub(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
             raise ShapeError(f"sub: shapes {a.data.shape} != {b.data.shape}")
-        return self._record("sub", (a, b), a.data - b.data, lambda g: (g, -g))
+        return self.record("sub", (a, b), a.data - b.data, lambda g: (g, -g))
 
     def mul(self, a: Tensor, b: Tensor) -> Tensor:
         if a.data.shape != b.data.shape:
             raise ShapeError(f"mul: shapes {a.data.shape} != {b.data.shape}")
         ad, bd = a.data, b.data
-        return self._record("mul", (a, b), ad * bd, lambda g: (g * bd, g * ad))
+        return self.record("mul", (a, b), ad * bd, lambda g: (g * bd, g * ad))
 
     def scale(self, a: Tensor, factor: float) -> Tensor:
         factor = float(factor)
-        return self._record("scale", (a,), a.data * factor, lambda g: (g * factor,))
+        return self.record("scale", (a,), a.data * factor, lambda g: (g * factor,))
 
     def absolute(self, a: Tensor) -> Tensor:
         # subgradient at 0 is fixed to 0 (np.sign(0) == 0) for determinism
         sign = np.sign(a.data)
-        return self._record("abs", (a,), np.abs(a.data), lambda g: (g * sign,))
+        return self.record("abs", (a,), np.abs(a.data), lambda g: (g * sign,))
 
     def sigmoid(self, a: Tensor) -> Tensor:
-        y = 1.0 / (1.0 + np.exp(-a.data))
-        return self._record("sigmoid", (a,), y, lambda g: (g * y * (1.0 - y),))
+        with np.errstate(over="ignore"):  # exp(710+) = inf gives exactly 0
+            y = 1.0 / (1.0 + np.exp(-a.data))
+        return self.record("sigmoid", (a,), y, lambda g: (g * y * (1.0 - y),))
 
     def tanh(self, a: Tensor) -> Tensor:
         y = np.tanh(a.data)
-        return self._record("tanh", (a,), y, lambda g: (g * (1.0 - y * y),))
+        return self.record("tanh", (a,), y, lambda g: (g * (1.0 - y * y),))
 
     def relu(self, a: Tensor) -> Tensor:
         mask = a.data > 0
-        return self._record("relu", (a,), a.data * mask, lambda g: (g * mask,))
+        return self.record("relu", (a,), a.data * mask, lambda g: (g * mask,))
 
     def activation(self, a: Tensor, kind: str) -> Tensor:
         if kind == "identity":
@@ -164,7 +212,7 @@ class Tape:
 
     def sum(self, a: Tensor) -> Tensor:
         shape = a.data.shape
-        return self._record(
+        return self.record(
             "sum", (a,), np.asarray(np.sum(a.data)),
             lambda g: (np.full(shape, float(g)),),
         )
@@ -190,7 +238,7 @@ class Tape:
         def backward(g):
             return tuple(np.split(g, offsets, axis=axis))
 
-        return self._record("concat", tensors, out, backward)
+        return self.record("concat", tensors, out, backward)
 
     def index(self, a: Tensor, axis: int, i: int) -> Tensor:
         """Take the subarray at position i along `axis` (rank drops by 1)."""
@@ -206,7 +254,7 @@ class Tape:
             full[sel] = g
             return (full,)
 
-        return self._record("index", (a,), out, backward)
+        return self.record("index", (a,), out, backward)
 
     def stack(self, tensors, axis: int) -> Tensor:
         tensors = tuple(tensors)
@@ -222,7 +270,7 @@ class Tape:
         def backward(g):
             return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
 
-        return self._record("stack", tensors, out, backward)
+        return self.record("stack", tensors, out, backward)
 
     def slice_axis(self, a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         axis = _axis_index(axis, a.data.ndim)
@@ -240,13 +288,13 @@ class Tape:
             full[sel] = g
             return (full,)
 
-        return self._record("slice", (a,), out, backward)
+        return self.record("slice", (a,), out, backward)
 
     def reshape(self, a: Tensor, shape) -> Tensor:
         shape = tuple(int(s) for s in shape)
         old = a.data.shape
         out = a.data.reshape(shape)
-        return self._record("reshape", (a,), out, lambda g: (g.reshape(old),))
+        return self.record("reshape", (a,), out, lambda g: (g.reshape(old),))
 
     def layer_norm(self, a: Tensor, eps: float = 1e-5) -> Tensor:
         """Normalize over the last axis (no learned affine)."""
@@ -261,7 +309,7 @@ class Tape:
             gxm = (g * xhat).mean(axis=-1, keepdims=True)
             return (inv * (g - gm - xhat * gxm),)
 
-        return self._record("layer_norm", (a,), xhat, backward)
+        return self.record("layer_norm", (a,), xhat, backward)
 
     # -- convolution -------------------------------------------------------
 
@@ -278,7 +326,6 @@ class Tape:
         if kh % 2 == 0 or kw % 2 == 0:
             raise ShapeError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
         xd = x.data
-        batched = xd.ndim == 4
         if xd.ndim not in (3, 4):
             raise ShapeError(f"conv2d: input must have rank 3 or 4, got {xd.ndim}")
         if xd.shape[-1] != cin:
@@ -290,22 +337,9 @@ class Tape:
             raise ShapeError(
                 f"conv2d: bias shape {bias.data.shape} != ({cout},) from kernel axis 3"
             )
-        ph, pw = kh // 2, kw // 2
-        a_ax = 1 if batched else 0
-        hh, ww = xd.shape[a_ax], xd.shape[a_ax + 1]
-
-        pad = [(0, 0)] * xd.ndim
-        pad[a_ax] = (ph, ph)
-        pad[a_ax + 1] = (pw, pw)
-        xp = np.pad(xd, pad)
-
-        # im2col: windows over the padded spatial axes, one matmul total
-        win = sliding_window_view(xp, (kh, kw), axis=(a_ax, a_ax + 1))
-        # win: [..., A, B, Cin, kh, kw] -> [..., A, B, kh, kw, Cin]
-        patches = np.ascontiguousarray(np.moveaxis(win, -3, -1))
-        rows = patches.reshape(-1, kh * kw * cin)
-        out = rows @ kd.reshape(kh * kw * cin, cout)
-        out = out.reshape(xd.shape[:-1] + (cout,))
+        out = (im2col(xd, kh, kw) @ kd.reshape(kh * kw * cin, cout)).reshape(
+            xd.shape[:-1] + (cout,)
+        )
         if bias is not None:
             out = out + bias.data
 
@@ -315,25 +349,16 @@ class Tape:
             gx = None
             if kernel.requires_grad:
                 # recompute patch rows rather than keeping them alive
-                w2 = sliding_window_view(xp, (kh, kw), axis=(a_ax, a_ax + 1))
-                p2 = np.ascontiguousarray(np.moveaxis(w2, -3, -1))
-                gk = (p2.reshape(-1, kh * kw * cin).T @ g2).reshape(kd.shape)
+                gk = (im2col(xd, kh, kw).T @ g2).reshape(kd.shape)
             if x.requires_grad:
-                gxp = np.zeros_like(xp)
-                head = (slice(None),) if batched else ()
-                for dh in range(kh):
-                    for dw in range(kw):
-                        sel = head + (slice(dh, dh + hh), slice(dw, dw + ww))
-                        gxp[sel] += g @ kd[dh, dw].T
-                crop = head + (slice(ph, ph + hh), slice(pw, pw + ww))
-                gx = gxp[crop]
+                gx = conv_input_grad(g, kd)
             gb = g2.sum(axis=0) if (bias is not None and bias.requires_grad) else None
             if bias is None:
                 return (gx, gk)
             return (gx, gk, gb)
 
         inputs = (x, kernel) if bias is None else (x, kernel, bias)
-        return self._record("conv2d", inputs, out, backward)
+        return self.record("conv2d", inputs, out, backward)
 
 
 def finite_diff_check(f, params, h: float = 1e-6, kink_tol: float = 1e-2):

@@ -3,10 +3,17 @@
 Everything in here is written against the mathematical definitions only
 and deliberately shares no code with the package: naive loops instead of
 im2col, forward reachability instead of backward mask accumulation, and a
-standalone ConvLSTM recurrence.
+standalone ConvLSTM recurrence. The one exception is the tape-composed
+LSTM step (`pmd_step`, `composed_scan`): it chains the package's generic
+tape ops (conv2d, slice, sigmoid, tanh, mul, add), so the fused scan node
+can be checked against the same float operations bit for bit, and its
+hand-written backward against the tape's per-op gradients.
 """
 
 import numpy as np
+
+from contextvp.pmd import PMDUnit
+from contextvp.tensor import ShapeError, Tape, Tensor
 
 
 def naive_conv2d(x, kernel, bias=None):
@@ -213,3 +220,78 @@ def reachability_mask(layer_directions, shape, target, radius=1):
     for pos in needed[0]:
         mask[pos] = True
     return mask
+
+
+# -- tape-composed recurrence step -------------------------------------------
+
+def _fuse_unit(tape: Tape, unit: PMDUnit):
+    """Stack the four gate kernels along the output-channel axis so each
+    step costs two convolutions instead of eight."""
+    kx = tape.concat([unit.kx_in, unit.kx_forget, unit.kx_out, unit.kx_cell], axis=3)
+    ks = tape.concat([unit.ks_in, unit.ks_forget, unit.ks_out, unit.ks_cell], axis=3)
+    b = tape.concat([unit.b_in, unit.b_forget, unit.b_out, unit.b_cell], axis=0)
+    return kx, ks, b, unit.hidden
+
+
+def _gate_step(tape: Tape, fused, x: Tensor, c_prev, s_prev):
+    kx, ks, b, ch = fused
+    pre = tape.conv2d(x, kx, b)
+    if s_prev is not None:
+        pre = tape.add(pre, tape.conv2d(s_prev, ks))
+    last = pre.data.ndim - 1
+    gate_in = tape.sigmoid(tape.slice_axis(pre, last, 0, ch))
+    gate_forget = tape.sigmoid(tape.slice_axis(pre, last, ch, 2 * ch))
+    gate_out = tape.sigmoid(tape.slice_axis(pre, last, 2 * ch, 3 * ch))
+    candidate = tape.tanh(tape.slice_axis(pre, last, 3 * ch, 4 * ch))
+    if c_prev is None:
+        c = tape.mul(gate_in, candidate)
+    else:
+        c = tape.add(tape.mul(gate_forget, c_prev), tape.mul(gate_in, candidate))
+    s = tape.mul(gate_out, tape.tanh(c))
+    return c, s
+
+
+def pmd_step(tape: Tape, unit: PMDUnit, x_k: Tensor, c_prev=None, s_prev=None):
+    """One recurrence step on a single plane.
+
+    x_k: [A, B, Cin] (or batched [N, A, B, Cin]); c_prev/s_prev: matching
+    [A, B, Ch] planes, or None for the zero initial state. Returns
+    (cell, hidden).
+    """
+    if x_k.data.shape[-1] != unit.in_channels:
+        raise ShapeError(
+            f"step input has {x_k.data.shape[-1]} channels, unit expects "
+            f"{unit.in_channels}"
+        )
+    if (c_prev is None) != (s_prev is None):
+        raise ValueError("c_prev and s_prev must be given together")
+    if s_prev is not None and s_prev.data.shape[-1] != unit.hidden:
+        raise ShapeError(
+            f"state has {s_prev.data.shape[-1]} channels, unit expects {unit.hidden}"
+        )
+    return _gate_step(tape, _fuse_unit(tape, unit), x_k, c_prev, s_prev)
+
+
+def composed_scan(tape: Tape, unit: PMDUnit, cuboid: Tensor, direction: str) -> Tensor:
+    """One directional scan as a chain of tape ops, one `_gate_step` per
+    plane. Returns hidden states laid out like the cuboid: [..., Ch]."""
+    axis, reverse = _SCAN[direction]
+    axis += cuboid.data.ndim - 4
+    order = list(range(cuboid.data.shape[axis]))
+    if reverse:
+        order.reverse()
+    fused = _fuse_unit(tape, unit)
+    c = s = None
+    states = {}
+    for i in order:
+        c, s = _gate_step(tape, fused, tape.index(cuboid, axis, i), c, s)
+        states[i] = s
+    return tape.stack([states[i] for i in sorted(states)], axis=axis)
+
+
+def composed_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
+    """The scans of every direction in `units`, concatenated on channels in
+    the fixed order (t-, h-, h+, w-, w+)."""
+    order = [d for d in ("t-", "h-", "h+", "w-", "w+") if d in units]
+    scans = [composed_scan(tape, units[d], cuboid, d) for d in order]
+    return scans[0] if len(scans) == 1 else tape.concat(scans, axis=cuboid.data.ndim - 1)

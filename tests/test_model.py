@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import contextvp.pmd as pmd
 import contextvp.serial as serial
+from contextvp.loss_optim import AdamState, LossSpec, adam_step, combined_loss
 from contextvp.tensor import Tensor, Tape, finite_diff_check
-from contextvp.pmd import DIRECTIONS, pmd_step
+from contextvp.pmd import DIRECTIONS
 from contextvp.model import (
     Model,
     ModelSpec,
@@ -18,6 +20,7 @@ from contextvp.model import (
     predict_recursive,
     save_model,
 )
+from oracles import pmd_step
 
 
 def tiny_spec(**kw):
@@ -163,6 +166,37 @@ class TestForward:
         np.testing.assert_array_equal(
             forward_predict(tied, frames), forward_predict(untied, frames)
         )
+
+
+class TestTraining:
+    def test_default_step_records_at_most_50_nodes(self):
+        # one fused node per layer instead of ~17 per plane step
+        model = build(ModelSpec(), 0)
+        rng = np.random.default_rng(5)
+        tape = Tape()
+        pred = forward_cuboid(tape, model, Tensor(rng.uniform(size=(4, 10, 16, 16, 1))))
+        combined_loss(tape, Tensor(rng.uniform(size=(4, 16, 16, 1))), pred, LossSpec())
+        assert len(tape.nodes) <= 50
+
+    def test_two_runs_of_two_steps_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(pmd, "_THREADS", 2)  # use the pool even on one core
+        rng = np.random.default_rng(6)
+        x = rng.uniform(size=(2, 3, 5, 5, 1))
+        y = rng.uniform(size=(2, 5, 5, 1))
+
+        def run():
+            model = build(ModelSpec(layers=[(3, 3), (3, 3)]), 12)
+            adam = AdamState.for_parameters(model.parameters)
+            grads = []
+            for _ in range(2):
+                tape = Tape()
+                pred = forward_cuboid(tape, model, Tensor(x))
+                tape.backward(combined_loss(tape, Tensor(y), pred, LossSpec()))
+                grads += [t.grad.tobytes() for t in model.parameters.values()]
+                adam_step(adam, model.parameters)
+            return grads
+
+        assert run() == run()
 
 
 class TestRecursive:

@@ -1,19 +1,30 @@
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import contextvp.pmd as pmd
 from contextvp.tensor import Tensor, Tape, ShapeError
 from contextvp.pmd import (
     DIRECTIONS,
     BlendBlock,
     PMDUnit,
-    blend_uniform,
-    blend_weighted,
+    blend,
+    pmd_layer,
     pmd_scan,
-    pmd_step,
     reorient,
     tie_dws,
 )
-from oracles import convlstm_forward, pixel_blend, scalar_lstm_step
+from oracles import (
+    composed_layer,
+    composed_scan,
+    convlstm_forward,
+    pixel_blend,
+    pmd_step,
+    scalar_lstm_step,
+)
 
 
 def make_unit(k, cin, ch, rng, scale=0.4, grad=False):
@@ -95,7 +106,7 @@ class TestPmdStep:
     def test_channel_mismatch(self):
         unit = zero_unit(3, 2, 2)
         with pytest.raises(ShapeError, match="channels"):
-            pmd_step(Tape(), unit, Tensor(np.zeros((4, 4, 3))))
+            pmd_scan(Tape(), unit, Tensor(np.zeros((2, 4, 4, 3))), "t-")
 
 
 class TestReorient:
@@ -173,8 +184,130 @@ class TestPmdScan:
         assert diffs[-1] < diffs[0]
 
 
+def aliased_units(rng, cin, ch):
+    """Five direction units under DWS: h+ and w+ are the h- and w- units."""
+    units = {d: make_unit(3, cin, ch, rng, grad=True) for d in ("t-", "h-", "w-")}
+    return {**units, "h+": units["h-"], "w+": units["w-"]}
+
+
+def run_with_grads(scan, units, x, weights, recording=True):
+    """Forward through `scan(tape, units, x)`, backward from a weighted sum
+    of its states. Returns (states, [x grad, then every unit field grad])."""
+    for t in [x] + [t for u in units.values() for _, t in u.fields()]:
+        t.grad = None
+    tape = Tape(recording=recording)
+    out = scan(tape, units, x)
+    if recording:
+        tape.backward(tape.sum(tape.mul(out, Tensor(weights))))
+    grads = [x.grad] + [t.grad for u in units.values() for _, t in u.fields()]
+    return out.data, [None if g is None else g.copy() for g in grads]
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+CUBOIDS = [(3, 4, 5, 2), (2, 3, 4, 5, 2)]  # rank 4 and batched rank 5
+
+
+class TestFusedLayer:
+    """pmd_layer's single node against the tape-composed scan oracle:
+    forward bit for bit, gradients within 1e-12 relative."""
+
+    @pytest.mark.parametrize("shape", CUBOIDS)
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_scan_matches_composed_oracle(self, direction, shape):
+        rng = np.random.default_rng(30)
+        units = {direction: make_unit(3, 2, 3, rng, grad=True)}
+        x = Tensor(rng.uniform(size=shape), requires_grad=True)
+        weights = rng.uniform(-1, 1, size=shape[:-1] + (3,))
+        fused, fused_grads = run_with_grads(pmd_layer, units, x, weights)
+        ref, ref_grads = run_with_grads(composed_layer, units, x, weights)
+        np.testing.assert_array_equal(fused, ref)
+        np.testing.assert_array_equal(
+            fused, pmd_scan(Tape(), units[direction], x, direction).data
+        )
+        for got, want in zip(fused_grads, ref_grads):
+            assert rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("shape", CUBOIDS)
+    def test_aliased_layer_matches_composed_oracle(self, shape):
+        rng = np.random.default_rng(31)
+        units = aliased_units(rng, 2, 3)
+        x = Tensor(rng.uniform(size=shape), requires_grad=True)
+        weights = rng.uniform(-1, 1, size=shape[:-1] + (15,))
+        fused, fused_grads = run_with_grads(pmd_layer, units, x, weights)
+        ref, ref_grads = run_with_grads(composed_layer, units, x, weights)
+        np.testing.assert_array_equal(fused, ref)
+        for got, want in zip(fused_grads, ref_grads):
+            assert rel_err(got, want) <= 1e-12
+
+    def test_pooled_forward_equals_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(pmd, "_THREADS", 2)  # use the pool even on one core
+        rng = np.random.default_rng(32)
+        units = aliased_units(rng, 2, 3)
+        x = Tensor(rng.uniform(size=CUBOIDS[1]), requires_grad=True)
+        weights = rng.uniform(-1, 1, size=CUBOIDS[1][:-1] + (15,))
+        pooled, pooled_grads = run_with_grads(pmd_layer, units, x, weights)
+        assert pmd._pool is not None
+        calling, _ = run_with_grads(pmd_layer, units, x, weights, recording=False)
+        np.testing.assert_array_equal(pooled, calling)
+        monkeypatch.setattr(pmd, "_THREADS", 1)
+        serial, serial_grads = run_with_grads(pmd_layer, units, x, weights)
+        np.testing.assert_array_equal(pooled, serial)
+        for got, want in zip(pooled_grads, serial_grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_concurrent_callers_match_calling_thread(self, monkeypatch):
+        # six callers share the lazily created pool of two threads
+        monkeypatch.setattr(pmd, "_THREADS", 2)
+        monkeypatch.setattr(pmd, "_pool", None)
+        rng = np.random.default_rng(34)
+        units = aliased_units(rng, 2, 3)
+        xs = [rng.uniform(size=CUBOIDS[1]) for _ in range(6)]
+        want = [pmd_layer(Tape(recording=False), units, Tensor(x)).data for x in xs]
+
+        def recorded(x):
+            return pmd_layer(Tape(), units, Tensor(x, requires_grad=True)).data
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(xs)) as callers:
+                futures = [callers.submit(recorded, x) for x in xs]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_saturated_gates_without_overflow_warning(self):
+        # gate logits of +1000 then -1000; exp(1000) overflows to inf
+        unit = zero_unit(1, 1, 1)
+        for name, t in unit.fields():
+            if name.startswith("kx"):
+                t.data[...] = 1000.0
+        x = Tensor(np.array([1.0, -1.0]).reshape(2, 1, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pmd_scan(Tape(), unit, x, "t-").data
+            ref = composed_scan(Tape(), unit, x, "t-").data
+        np.testing.assert_array_equal(got, ref)
+        assert np.all(np.isfinite(got))
+
+    def test_unknown_direction_rejected(self):
+        units = {"t+": zero_unit(3, 1, 2)}
+        with pytest.raises(ValueError, match="t\\+"):
+            pmd_layer(Tape(), units, Tensor(np.zeros((2, 3, 3, 1))))
+
+
 def make_states(rng, shape=(2, 3, 3, 4)):
     return [Tensor(rng.uniform(-1, 1, size=shape)) for _ in DIRECTIONS]
+
+
+def concat_states(s_list):
+    """The five directional states as pmd_layer returns them."""
+    return Tensor(np.concatenate([s.data for s in s_list], axis=-1))
 
 
 class TestBlending:
@@ -182,7 +315,7 @@ class TestBlending:
         rng = np.random.default_rng(11)
         s = Tensor(rng.uniform(size=(2, 3, 3, 4)))
         block = BlendBlock("uniform", Tensor(np.eye(4)), Tensor(np.zeros(4)))
-        out = blend_uniform(Tape(), [s] * 5, block)
+        out = blend(Tape(), concat_states([s] * 5), block)
         np.testing.assert_allclose(out.data, 5 * s.data, atol=1e-12)
 
     def test_uniform_single_active_direction(self):
@@ -190,7 +323,7 @@ class TestBlending:
         v = Tensor(rng.uniform(size=(2, 3, 3, 4)))
         zeros = [Tensor(np.zeros((2, 3, 3, 4))) for _ in range(4)]
         block = BlendBlock("uniform", Tensor(np.eye(4)), Tensor(np.zeros(4)))
-        out = blend_uniform(Tape(), [v] + zeros, block)
+        out = blend(Tape(), concat_states([v] + zeros), block)
         np.testing.assert_allclose(out.data, v.data, atol=1e-15)
 
     def test_uniform_matches_pixel_oracle(self):
@@ -199,7 +332,7 @@ class TestBlending:
         w = rng.uniform(-1, 1, size=(4, 3))
         b = rng.uniform(-1, 1, size=3)
         block = BlendBlock("uniform", Tensor(w), Tensor(b))
-        out = blend_uniform(Tape(), s_list, block)
+        out = blend(Tape(), concat_states(s_list), block)
         ref = pixel_blend([s.data for s in s_list], w, b, weighted=False)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -209,7 +342,7 @@ class TestBlending:
         w = rng.uniform(-1, 1, size=(20, 3))
         b = rng.uniform(-1, 1, size=3)
         block = BlendBlock("weighted", Tensor(w), Tensor(b))
-        out = blend_weighted(Tape(), s_list, block)
+        out = blend(Tape(), concat_states(s_list), block)
         ref = pixel_blend([s.data for s in s_list], w, b, weighted=True)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -218,11 +351,10 @@ class TestBlending:
         s_list = make_states(rng)
         v = rng.uniform(-1, 1, size=(4, 3))
         b = rng.uniform(-1, 1, size=3)
-        uniform = blend_uniform(
-            Tape(), s_list, BlendBlock("uniform", Tensor(v), Tensor(b))
-        )
-        weighted = blend_weighted(
-            Tape(), s_list,
+        states = concat_states(s_list)
+        uniform = blend(Tape(), states, BlendBlock("uniform", Tensor(v), Tensor(b)))
+        weighted = blend(
+            Tape(), states,
             BlendBlock("weighted", Tensor(np.vstack([v] * 5)), Tensor(b)),
         )
         np.testing.assert_allclose(weighted.data, uniform.data, atol=1e-12)
@@ -233,30 +365,33 @@ class TestBlending:
         w = np.zeros((20, 3))
         w[:4] = rng.uniform(-1, 1, size=(4, 3))  # only the t- block
         block = BlendBlock("weighted", Tensor(w), Tensor(np.zeros(3)))
-        out_full = blend_weighted(Tape(), s_list, block)
+        out_full = blend(Tape(), concat_states(s_list), block)
         zeroed = [s_list[0]] + [Tensor(np.zeros_like(s.data)) for s in s_list[1:]]
-        out_zeroed = blend_weighted(Tape(), zeroed, block)
+        out_zeroed = blend(Tape(), concat_states(zeroed), block)
         np.testing.assert_allclose(out_full.data, out_zeroed.data, atol=1e-15)
 
     def test_mode_mismatch_rejected(self):
+        # a weight sized for the other mode: a weighted-sized weight in a
+        # uniform block tiles to 5x the state channels, and a uniform-sized
+        # one in a weighted block covers a fifth of them
         rng = np.random.default_rng(17)
-        s_list = make_states(rng)
-        u_block = BlendBlock("uniform", Tensor(np.eye(4)), Tensor(np.zeros(4)))
-        w_block = BlendBlock("weighted", Tensor(np.zeros((20, 4))), Tensor(np.zeros(4)))
-        with pytest.raises(ValueError, match="mode"):
-            blend_weighted(Tape(), s_list, u_block)
-        with pytest.raises(ValueError, match="mode"):
-            blend_uniform(Tape(), s_list, w_block)
+        states = concat_states(make_states(rng))
+        u_block = BlendBlock("uniform", Tensor(np.zeros((20, 4))), Tensor(np.zeros(4)))
+        w_block = BlendBlock("weighted", Tensor(np.zeros((5, 4))), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError, match="uniform blend weight"):
+            blend(Tape(), states, u_block)
+        with pytest.raises(ShapeError, match="weighted blend weight"):
+            blend(Tape(), states, w_block)
 
     def test_output_shape_both_modes(self):
         rng = np.random.default_rng(18)
-        s_list = make_states(rng)
-        u = blend_uniform(
-            Tape(), s_list,
+        states = concat_states(make_states(rng))
+        u = blend(
+            Tape(), states,
             BlendBlock("uniform", Tensor(rng.uniform(size=(4, 6))), Tensor(np.zeros(6))),
         )
-        w = blend_weighted(
-            Tape(), s_list,
+        w = blend(
+            Tape(), states,
             BlendBlock("weighted", Tensor(rng.uniform(size=(20, 6))), Tensor(np.zeros(6))),
         )
         assert u.data.shape == (2, 3, 3, 6)
@@ -264,8 +399,7 @@ class TestBlending:
 
 
 def layer_forward(tape, units, cuboid, block):
-    s_list = [pmd_scan(tape, units[d], cuboid, d) for d in DIRECTIONS]
-    return blend_uniform(tape, s_list, block)
+    return blend(tape, pmd_layer(tape, units, cuboid), block)
 
 
 class TestDirectionalWeightSharing:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +75,12 @@ class TestActivations:
     def test_sigmoid_at_zero(self):
         out = Tape().activation(Tensor(np.zeros(3)), "sigmoid")
         np.testing.assert_array_equal(out.data, 0.5)
+
+    def test_sigmoid_saturates_without_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = Tape().sigmoid(Tensor([-1000.0, 1000.0]))
+        assert y.data.tolist() == [0.0, 1.0]
 
     def test_tanh_at_zero(self):
         out = Tape().activation(Tensor(np.zeros(3)), "tanh")
