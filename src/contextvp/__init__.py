@@ -1,9 +1,9 @@
 """Context-aware next-frame video prediction at desk scale.
 
 Five-direction recurrent plane scans over the input cuboid, context
-blending, directional weight sharing, a combined Lp + gradient-difference
-training objective, and an exact context-coverage analyzer, all on top of
-a small float64 reverse-mode tape.
+blending, directional weight sharing and a combined Lp +
+gradient-difference training objective, all on top of a small float64
+reverse-mode tape.
 """
 
 from contextvp.tensor import Tensor, Tape, ShapeError, finite_diff_check

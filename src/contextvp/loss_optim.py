@@ -134,7 +134,6 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    epoch: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 

@@ -14,6 +14,7 @@ so predictions always land in (0, 1).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from contextvp.loss_optim import xavier_conv_kernel, xavier_uniform
 from contextvp.pmd import (
     BLEND_MODES,
     DIRECTIONS,
+    GATES,
     BlendBlock,
     PMDUnit,
     blend,
@@ -34,11 +36,9 @@ from contextvp.serial import NameCollisionError, Reader, Writer, atomic_write
 from contextvp.tensor import ACTIVATIONS, Tensor, Tape, ShapeError
 
 MODEL_MAGIC = b"CVPM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 KINDS = ("contextvp", "convlstm_baseline")
-
-_UNIT_FIELDS = tuple(f"{p}_{g}" for p in ("kx", "ks", "b") for g in ("in", "forget", "out", "cell"))
 
 
 @dataclass
@@ -51,10 +51,12 @@ class ModelSpec:
     skip_pairs: list | None = None
     blend_activation: str = "identity"
     blend_layer_norm: bool = False
-    output_activation: str = "sigmoid"
     in_channels: int = 1
 
     def __post_init__(self):
+        # index() takes Python and numpy integers and rejects floats
+        self.kernel = operator.index(self.kernel)
+        self.in_channels = operator.index(self.in_channels)
         self.layers = [tuple(int(v) for v in pair) for pair in self.layers]
         if self.skip_pairs is None:
             self.skip_pairs = [(1, 3), (2, 4)] if len(self.layers) >= 4 else []
@@ -74,8 +76,6 @@ class ModelSpec:
             raise ValueError(f"blend_mode {self.blend_mode!r} not in {BLEND_MODES}")
         if self.blend_activation not in ACTIVATIONS:
             raise ValueError(f"blend_activation {self.blend_activation!r} unknown")
-        if self.output_activation != "sigmoid":
-            raise ValueError("only sigmoid output activation is supported")
         if self.in_channels < 1:
             raise ValueError("in_channels must be >= 1")
         n = len(self.layers)
@@ -121,7 +121,6 @@ class ModelSpec:
             "skip_pairs": [list(p) for p in self.skip_pairs],
             "blend_activation": self.blend_activation,
             "blend_layer_norm": self.blend_layer_norm,
-            "output_activation": self.output_activation,
             "in_channels": self.in_channels,
         }
 
@@ -180,15 +179,14 @@ class Model:
 
 
 def _build_unit(k, cin, ch, rng) -> PMDUnit:
-    tensors = {}
-    for prefix, shape_cin in (("kx", cin), ("ks", ch)):
-        for gate in ("in", "forget", "out", "cell"):
-            tensors[f"{prefix}_{gate}"] = Tensor(
-                xavier_conv_kernel(k, shape_cin, ch, rng), requires_grad=True
-            )
-    for gate in ("in", "forget", "out", "cell"):
-        tensors[f"b_{gate}"] = Tensor(np.zeros(ch), requires_grad=True)
-    return PMDUnit(**tensors)
+    """Each gate's kernel is drawn on its own (fan-out k*k*Ch), kx gates
+    before ks gates, then stacked once into the unit's layout."""
+    arrays = [
+        np.concatenate([xavier_conv_kernel(k, fan_in, ch, rng) for _ in GATES], axis=3)
+        for fan_in in (cin, ch)
+    ]
+    arrays.append(np.zeros(len(GATES) * ch))
+    return PMDUnit(*(Tensor(a, requires_grad=True) for a in arrays))
 
 
 def build(spec: ModelSpec, seed: int) -> Model:
@@ -275,7 +273,11 @@ def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
 
 
 def forward_predict(model: Model, frames: np.ndarray) -> np.ndarray:
-    """Predict the next frame for a [T, H, W, C] cuboid of values in [0, 1]."""
+    """Predict the next frame for a [T, H, W, C] cuboid of values in [0, 1].
+    Raises ValueError for frames that are not finite or outside [0, 1]."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if not np.all((frames >= 0.0) & (frames <= 1.0)):  # false for NaN too
+        raise ValueError("frames must be finite values in [0, 1]")
     out = forward_cuboid(Tape(recording=False), model, Tensor(frames))
     return out.data
 
@@ -372,6 +374,7 @@ def save_model(model: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
+    """Read a model file. Any malformed content raises a serial.FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     reader = Reader(blob)
@@ -379,29 +382,40 @@ def load_model(path: str) -> Model:
     version = reader.u32()
     if version != MODEL_VERSION:
         raise serial.FormatError(f"unsupported model version {version}")
-    spec = ModelSpec.from_dict(json.loads(reader.take(reader.u64()).decode()))
+    spec_blob = reader.take(reader.u64())
+    try:
+        spec = ModelSpec.from_dict(json.loads(spec_blob.decode()))
+        n_scalars = count_from_spec(spec)
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise serial.FormatError(f"invalid model spec: {exc}") from exc
+    # checked before build, which would otherwise allocate what a forged
+    # spec asks for
+    if 8 * n_scalars > reader.remaining():
+        raise serial.TruncatedFileError(
+            f"spec needs {n_scalars} float64 values, file has {reader.remaining()} bytes left"
+        )
     model = build(spec, seed=0)
     params = model.parameters
     n_tensors = reader.u64()
     seen = set()
     for _ in range(n_tensors):
-        name = reader.take(reader.u32()).decode()
+        try:
+            name = reader.take(reader.u32()).decode()
+        except UnicodeDecodeError as exc:
+            raise serial.FormatError(f"tensor name is not UTF-8: {exc}") from exc
         if name in seen:
             raise NameCollisionError(f"duplicate tensor name {name!r}")
         seen.add(name)
         rank = reader.u32()
         shape = tuple(reader.u64() for _ in range(rank))
-        data = np.frombuffer(
-            reader.take(8 * int(np.prod(shape, dtype=np.int64))), dtype="<f8"
-        ).reshape(shape)
         if name not in params:
             raise serial.FormatError(f"unexpected tensor name {name!r}")
-        if params[name].data.shape != shape:
-            raise ShapeError(
-                f"tensor {name!r} has shape {shape}, spec expects "
-                f"{params[name].data.shape}"
+        target = params[name].data
+        if target.shape != shape:
+            raise serial.FormatError(
+                f"tensor {name!r} has shape {shape}, spec expects {target.shape}"
             )
-        params[name].data[...] = data
+        target[...] = np.frombuffer(reader.take(8 * target.size), dtype="<f8").reshape(shape)
     if seen != set(params):
         missing = sorted(set(params) - seen)
         raise serial.FormatError(f"missing tensors: {missing[:3]}...")

@@ -8,6 +8,15 @@ same spatial-temporal extent; the plane perpendicular to the scan axis is
 what the convolutions see, so spatial scans mix time and the remaining
 spatial axis.
 
+A unit stores its four gates stacked on the output-channel axis in GATES
+order (in, forget, out, cell), the layout of Appleyard et al. 2016
+(arXiv:1604.01946): an input kernel kx [k, k, Cin, 4Ch], a state kernel
+ks [k, k, Ch, 4Ch] and a bias b [4Ch], gate j owning output channels
+[j*Ch, (j+1)*Ch). A plane step is then one input and one state matmul,
+and the scan node reads and writes these arrays as stored. Directions
+share parameters by sharing one PMDUnit object, as the model's
+direction groups do under directional weight sharing (DWS).
+
 `pmd_layer` records a layer's scans as one tape node. Its forward runs
 each direction's recurrence plane by plane in plain numpy, with the float
 operations of the tape-composed step (conv2d, gate slices, sigmoid, tanh,
@@ -73,56 +82,39 @@ _pool_lock = threading.Lock()
 
 @dataclass
 class PMDUnit:
-    """Parameter bundle for one recurrence direction.
+    """Parameter bundle for one recurrence direction, gates stacked on the
+    last axis in GATES order: kx [k, k, Cin, 4Ch], ks [k, k, Ch, 4Ch],
+    b [4Ch]."""
 
-    kx_*: input-to-state kernels [k, k, Cin, Ch]; ks_*: state-to-state
-    kernels [k, k, Ch, Ch]; b_*: gate biases [Ch]. Gate order everywhere
-    is (in, forget, out, cell).
-    """
-
-    kx_in: Tensor
-    kx_forget: Tensor
-    kx_out: Tensor
-    kx_cell: Tensor
-    ks_in: Tensor
-    ks_forget: Tensor
-    ks_out: Tensor
-    ks_cell: Tensor
-    b_in: Tensor
-    b_forget: Tensor
-    b_out: Tensor
-    b_cell: Tensor
+    kx: Tensor
+    ks: Tensor
+    b: Tensor
 
     def __post_init__(self):
-        k, _, cin, ch = self.kx_in.shape
+        k, _, _, stacked = self.kx.shape
         if k % 2 == 0:
             raise ShapeError(f"kernel size must be odd, got {k}")
-        for name, t in self.fields():
-            want = None
-            if name.startswith("kx"):
-                want = (k, k, cin, ch)
-            elif name.startswith("ks"):
-                want = (k, k, ch, ch)
-            else:
-                want = (ch,)
+        if stacked % len(GATES) != 0:
+            raise ShapeError(f"kx: {stacked} output channels are not {len(GATES)} equal gates")
+        ch = stacked // len(GATES)
+        for name, t, want in (("ks", self.ks, (k, k, ch, stacked)), ("b", self.b, (stacked,))):
             if t.shape != want:
                 raise ShapeError(f"{name}: shape {t.shape}, expected {want}")
 
     def fields(self):
-        names = [f"{p}_{g}" for p in ("kx", "ks", "b") for g in GATES]
-        return [(n, getattr(self, n)) for n in names]
+        return [("kx", self.kx), ("ks", self.ks), ("b", self.b)]
 
     @property
     def kernel_size(self):
-        return self.kx_in.shape[0]
+        return self.kx.shape[0]
 
     @property
     def in_channels(self):
-        return self.kx_in.shape[2]
+        return self.kx.shape[2]
 
     @property
     def hidden(self):
-        return self.kx_in.shape[3]
+        return self.kx.shape[3] // len(GATES)
 
 
 @dataclass
@@ -170,17 +162,6 @@ def _scan_layout(cuboid: Tensor, direction: str):
     return axis, reverse, list(order)
 
 
-def reorient(tape: Tape, cuboid: Tensor, direction: str):
-    """Slice the cuboid into planes in scan order.
-
-    t-: T planes [H, W, C] by increasing t; h+/h-: H planes [T, W, C] by
-    increasing/decreasing h; w+/w-: W planes [T, H, C] likewise. Stacking
-    the planes back along the scanned axis restores the cuboid exactly.
-    """
-    axis, _, order = _scan_layout(cuboid, direction)
-    return [tape.index(cuboid, axis, i) for i in order]
-
-
 class _Sweep:
     """One direction's recurrence over a layer input, in plain numpy.
 
@@ -195,11 +176,7 @@ class _Sweep:
         self.k = unit.kernel_size
         self.ch = unit.hidden
         self.span = slice(offset, offset + self.ch)
-        data = [t.data for _, t in unit.fields()]
-        # gate kernels stacked along output channels, (in, forget, out, cell)
-        self.kx = np.concatenate(data[0:4], axis=3)
-        self.ks = np.concatenate(data[4:8], axis=3)
-        self.b = np.concatenate(data[8:12])
+        self.kx, self.ks, self.b = unit.kx.data, unit.ks.data, unit.b.data
         self.acts = self.cells = None
 
     def planes(self, a: np.ndarray) -> np.ndarray:
@@ -331,11 +308,7 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
             gx = np.zeros(x.shape)
             for sw, (*_, gx_dir) in zip(sweeps, grads):
                 gx += np.moveaxis(gx_dir, 0, sw.axis)
-        contribs = [gx]
-        for gkx, gks, gb, _ in grads:
-            for grad, axis in ((gkx, 3), (gks, 3), (gb, 0)):
-                contribs += [None] * 4 if grad is None else np.split(grad, 4, axis=axis)
-        return contribs
+        return [gx] + [grad for *params, _ in grads for grad in params]
 
     return tape.record("pmd_layer", inputs, out, backward)
 
@@ -381,21 +354,3 @@ def blend(tape: Tape, states: Tensor, block: BlendBlock) -> Tensor:
         out = tape.layer_norm(out)
     return tape.activation(out, block.activation)
 
-
-def tie_dws(units: dict) -> dict:
-    """Share parameters between opposite-direction units.
-
-    h+ references the h- unit and w+ the w- unit (aliases, not copies), so
-    a backward pass accumulates both directions' gradients into the shared
-    tensors. The t- unit is untouched.
-    """
-    if set(units) != set(DIRECTIONS):
-        raise ValueError(f"need units for all of {DIRECTIONS}, got {sorted(units)}")
-    for keep, drop in (("h-", "h+"), ("w-", "w+")):
-        for (name, a), (_, b) in zip(units[keep].fields(), units[drop].fields()):
-            if a.shape != b.shape:
-                raise ShapeError(
-                    f"cannot tie {drop} to {keep}: {name} shapes "
-                    f"{b.shape} != {a.shape}"
-                )
-    return {**units, "h+": units["h-"], "w+": units["w-"]}

@@ -59,8 +59,11 @@ class Reader:
         if got != magic:
             raise BadMagicError(f"bad magic {got!r}, expected {magic!r}")
 
+    def remaining(self) -> int:
+        return len(self._blob) - self._pos
+
     def done(self) -> bool:
-        return self._pos == len(self._blob)
+        return self.remaining() == 0
 
 
 class Writer:

@@ -224,17 +224,10 @@ def reachability_mask(layer_directions, shape, target, radius=1):
 
 # -- tape-composed recurrence step -------------------------------------------
 
-def _fuse_unit(tape: Tape, unit: PMDUnit):
-    """Stack the four gate kernels along the output-channel axis so each
-    step costs two convolutions instead of eight."""
-    kx = tape.concat([unit.kx_in, unit.kx_forget, unit.kx_out, unit.kx_cell], axis=3)
-    ks = tape.concat([unit.ks_in, unit.ks_forget, unit.ks_out, unit.ks_cell], axis=3)
-    b = tape.concat([unit.b_in, unit.b_forget, unit.b_out, unit.b_cell], axis=0)
-    return kx, ks, b, unit.hidden
-
-
-def _gate_step(tape: Tape, fused, x: Tensor, c_prev, s_prev):
-    kx, ks, b, ch = fused
+def _gate_step(tape: Tape, unit: PMDUnit, x: Tensor, c_prev, s_prev):
+    """One step on the unit's gate-stacked kernels: two convolutions, then
+    the gates sliced out of the stacked pre-activation."""
+    kx, ks, b, ch = unit.kx, unit.ks, unit.b, unit.hidden
     pre = tape.conv2d(x, kx, b)
     if s_prev is not None:
         pre = tape.add(pre, tape.conv2d(s_prev, ks))
@@ -269,7 +262,7 @@ def pmd_step(tape: Tape, unit: PMDUnit, x_k: Tensor, c_prev=None, s_prev=None):
         raise ShapeError(
             f"state has {s_prev.data.shape[-1]} channels, unit expects {unit.hidden}"
         )
-    return _gate_step(tape, _fuse_unit(tape, unit), x_k, c_prev, s_prev)
+    return _gate_step(tape, unit, x_k, c_prev, s_prev)
 
 
 def composed_scan(tape: Tape, unit: PMDUnit, cuboid: Tensor, direction: str) -> Tensor:
@@ -280,11 +273,10 @@ def composed_scan(tape: Tape, unit: PMDUnit, cuboid: Tensor, direction: str) -> 
     order = list(range(cuboid.data.shape[axis]))
     if reverse:
         order.reverse()
-    fused = _fuse_unit(tape, unit)
     c = s = None
     states = {}
     for i in order:
-        c, s = _gate_step(tape, fused, tape.index(cuboid, axis, i), c, s)
+        c, s = _gate_step(tape, unit, tape.index(cuboid, axis, i), c, s)
         states[i] = s
     return tape.stack([states[i] for i in sorted(states)], axis=axis)
 

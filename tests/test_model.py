@@ -1,12 +1,25 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import contextvp.model as model_module
 import contextvp.pmd as pmd
 import contextvp.serial as serial
-from contextvp.loss_optim import AdamState, LossSpec, adam_step, combined_loss
+from contextvp.loss_optim import (
+    AdamState,
+    LossSpec,
+    adam_step,
+    combined_loss,
+    xavier_conv_kernel,
+)
+from contextvp.prng import SplitMix64
 from contextvp.tensor import Tensor, Tape, finite_diff_check
-from contextvp.pmd import DIRECTIONS
+from contextvp.pmd import DIRECTIONS, GATES
 from contextvp.model import (
+    MODEL_MAGIC,
+    MODEL_VERSION,
     Model,
     ModelSpec,
     baseline_width_for,
@@ -43,8 +56,8 @@ class TestBuild:
     def test_different_seed_differs(self):
         spec = tiny_spec()
         a, b = build(spec, 1), build(spec, 2)
-        assert a.parameters["layer1.t-.kx_in"].data.tobytes() != \
-            b.parameters["layer1.t-.kx_in"].data.tobytes()
+        assert a.parameters["layer1.t-.kx"].data.tobytes() != \
+            b.parameters["layer1.t-.kx"].data.tobytes()
 
     def test_group_counts_follow_sharing_flag(self):
         tied = build(ModelSpec(layers=[(2, 2)], dws=True), 0)
@@ -62,9 +75,22 @@ class TestBuild:
         with pytest.raises(ValueError):
             ModelSpec(layers=[(2, 2)], skip_pairs=[(1, 1)])
 
+    def test_unit_tensors_are_gate_stacked(self):
+        # three tensors per unit; each gate's kernel is its own Xavier draw,
+        # taken in gate order with kx gates before ks gates
+        spec = ModelSpec.convlstm_baseline(width=3, n_layers=1)
+        unit = build(spec, 5).layers[0].unit_for("t-")
+        rng = SplitMix64(5)
+        for stacked, fan_in in ((unit.kx, 1), (unit.ks, 3)):
+            for part in np.split(stacked.data, len(GATES), axis=3):
+                np.testing.assert_array_equal(part, xavier_conv_kernel(3, fan_in, 3, rng))
+        assert unit.b.shape == (len(GATES) * 3,)
+        assert len(build(ModelSpec(), 0).parameters) == 46
+        assert len(build(ModelSpec.convlstm_baseline(width=10), 0).parameters) == 62
+
     def test_biases_start_at_zero(self):
         model = build(tiny_spec(), 3)
-        np.testing.assert_array_equal(model.parameters["layer1.t-.b_in"].data, 0.0)
+        np.testing.assert_array_equal(model.parameters["layer1.t-.b"].data, 0.0)
         np.testing.assert_array_equal(model.parameters["head.bias"].data, 0.0)
 
 
@@ -116,6 +142,16 @@ class TestForward:
         out = forward_predict(full, frames)
         out_shifted = forward_predict(full, shifted)
         assert np.max(np.abs(out_shifted[4:10, 4:10] - out[2:8, 2:8])) < 1e-4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.5])
+    def test_non_finite_or_out_of_range_frames_rejected(self, bad):
+        model = build(tiny_spec(), 0)
+        frames = np.full((2, 4, 4, 1), 0.5)
+        frames[1, 2, 3, 0] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            forward_predict(model, frames)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            predict_recursive(model, frames, 2)
 
     def test_empty_time_axis_rejected(self):
         model = build(tiny_spec(), 0)
@@ -177,6 +213,9 @@ class TestTraining:
         pred = forward_cuboid(tape, model, Tensor(rng.uniform(size=(4, 10, 16, 16, 1))))
         combined_loss(tape, Tensor(rng.uniform(size=(4, 16, 16, 1))), pred, LossSpec())
         assert len(tape.nodes) <= 50
+        # the cuboid, then kx, ks and b for each of the five directions
+        layer_nodes = [n for n in tape.nodes if n.kind == "pmd_layer"]
+        assert [len(n.inputs) for n in layer_nodes] == [1 + 5 * 3] * 4
 
     def test_two_runs_of_two_steps_bit_identical(self, monkeypatch):
         monkeypatch.setattr(pmd, "_THREADS", 2)  # use the pool even on one core
@@ -316,3 +355,90 @@ class TestSerialization:
         tied = ModelSpec(layers=[(3, 3)], dws=True)
         untied = ModelSpec(layers=[(3, 3)], dws=False)
         assert len(model_bytes(build(tied, 0))) < len(model_bytes(build(untied, 0)))
+
+    def test_version_1_file_rejected(self, tmp_path):
+        blob = bytearray(model_bytes(build(tiny_spec(), 0)))
+        blob[4:8] = (1).to_bytes(4, "little")
+        path = tmp_path / "v1.cvpm"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(serial.FormatError, match="version 1"):
+            load_model(str(path))
+
+
+def tiny_spec_json(**changes):
+    return json.dumps({**tiny_spec().to_dict(), **changes}).encode()
+
+
+def load_cvpm(tmp_path, spec_json: bytes, tensors=()):
+    """Load a model file made from raw parts: a spec blob, then tensors as
+    (name bytes, shape) headers with no values. Zero bytes follow, as many
+    as the tiny spec's values take, so only the part under test is wrong."""
+    w = serial.Writer()
+    w.raw(MODEL_MAGIC)
+    w.u32(MODEL_VERSION)
+    w.u64(len(spec_json))
+    w.raw(spec_json)
+    w.u64(len(tensors))
+    for name, shape in tensors:
+        w.u32(len(name))
+        w.raw(name)
+        w.u32(len(shape))
+        for extent in shape:
+            w.u64(extent)
+    w.raw(bytes(8 * count_from_spec(tiny_spec())))
+    path = tmp_path / "m.cvpm"
+    path.write_bytes(w.getvalue())
+    return load_model(str(path))
+
+
+class TestMalformedModelFiles:
+    """Every malformed model file fails with a serial.FormatError."""
+
+    @pytest.mark.parametrize("spec_json", [
+        b"{not json",
+        b'{"kind": "\xff"}',
+        b"[1, 2]",
+        tiny_spec_json(bogus=1),
+        tiny_spec_json(kernel=4),
+        tiny_spec_json(kernel=3.0),
+        tiny_spec_json(layers=[["a", 2]]),
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["corrupt-json", "not-utf8", "not-an-object", "unknown-key", "even-kernel",
+            "float-kernel", "text-width", "nested-past-recursion-limit"])
+    def test_bad_spec(self, tmp_path, spec_json):
+        with pytest.raises(serial.FormatError, match="invalid model spec"):
+            load_cvpm(tmp_path, spec_json)
+
+    def test_tensor_name_not_utf8(self, tmp_path):
+        with pytest.raises(serial.FormatError, match="UTF-8"):
+            load_cvpm(tmp_path, tiny_spec_json(), [(b"\xff\xfe", (1,))])
+
+    @pytest.mark.parametrize("shape", [(3, 3, 1, 7), (2**62,), ()],
+                             ids=["other", "2^62", "scalar"])
+    def test_tensor_shape_mismatch(self, tmp_path, shape):
+        with pytest.raises(serial.FormatError, match="spec expects"):
+            load_cvpm(tmp_path, tiny_spec_json(), [(b"layer1.t-.kx", shape)])
+
+    def test_forged_spec_fails_before_build(self, tmp_path, monkeypatch):
+        # a few bytes of spec asking for billions of weights must not reach
+        # build, which would draw and allocate them
+        def no_build(*args, **kwargs):
+            raise AssertionError("build called")
+
+        monkeypatch.setattr(model_module, "build", no_build)
+        with pytest.raises(serial.TruncatedFileError, match="float64 values"):
+            load_cvpm(tmp_path, tiny_spec_json(layers=[[4096, 4096]] * 4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_byte_mutation_fuzz(self, tmp_path_factory, data):
+        blob = bytearray(model_bytes(build(tiny_spec(layers=[(1, 1)], kernel=1), 0)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+        blob = blob[:data.draw(st.integers(0, len(blob)))] + data.draw(st.binary(max_size=8))
+        path = tmp_path_factory.mktemp("fuzz") / "m.cvpm"
+        path.write_bytes(bytes(blob))
+        try:
+            load_model(str(path))
+        except serial.FormatError:
+            pass

@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 import contextvp.pmd as pmd
+from contextvp.model import ModelSpec, build, forward_cuboid
 from contextvp.tensor import Tensor, Tape, ShapeError
 from contextvp.pmd import (
     DIRECTIONS,
+    GATES,
     BlendBlock,
     PMDUnit,
     blend,
     pmd_layer,
     pmd_scan,
-    reorient,
-    tie_dws,
 )
 from oracles import (
     composed_layer,
@@ -31,13 +31,7 @@ def make_unit(k, cin, ch, rng, scale=0.4, grad=False):
     def t(shape):
         return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=grad)
 
-    return PMDUnit(
-        kx_in=t((k, k, cin, ch)), kx_forget=t((k, k, cin, ch)),
-        kx_out=t((k, k, cin, ch)), kx_cell=t((k, k, cin, ch)),
-        ks_in=t((k, k, ch, ch)), ks_forget=t((k, k, ch, ch)),
-        ks_out=t((k, k, ch, ch)), ks_cell=t((k, k, ch, ch)),
-        b_in=t((ch,)), b_forget=t((ch,)), b_out=t((ch,)), b_cell=t((ch,)),
-    )
+    return PMDUnit(kx=t((k, k, cin, 4 * ch)), ks=t((k, k, ch, 4 * ch)), b=t((4 * ch,)))
 
 
 def zero_unit(k, cin, ch):
@@ -46,10 +40,11 @@ def zero_unit(k, cin, ch):
 
 
 def unit_as_oracle_params(unit):
-    kx = {g: getattr(unit, f"kx_{g}").data for g in ("in", "forget", "out", "cell")}
-    ks = {g: getattr(unit, f"ks_{g}").data for g in ("in", "forget", "out", "cell")}
-    b = {g: getattr(unit, f"b_{g}").data for g in ("in", "forget", "out", "cell")}
-    return kx, ks, b
+    """The unit's stacked kx, ks and b split into per-gate dicts keyed by
+    gate name, as the oracles take them; this split fixes the gate order."""
+    return tuple(
+        dict(zip(GATES, np.split(t.data, len(GATES), axis=-1))) for _, t in unit.fields()
+    )
 
 
 class TestPmdStep:
@@ -85,9 +80,9 @@ class TestPmdStep:
             Tensor(np.full((1, 1, 1), cp)),
             Tensor(np.full((1, 1, 1), sp)),
         )
-        wx = {g: getattr(unit, f"kx_{g}").data.item() for g in ("in", "forget", "out", "cell")}
-        ws = {g: getattr(unit, f"ks_{g}").data.item() for g in ("in", "forget", "out", "cell")}
-        b = {g: getattr(unit, f"b_{g}").data.item() for g in ("in", "forget", "out", "cell")}
+        wx, ws, b = (
+            {g: v.item() for g, v in params.items()} for params in unit_as_oracle_params(unit)
+        )
         c_ref, s_ref = scalar_lstm_step(x, cp, sp, wx, ws, b)
         assert abs(c.data.item() - c_ref) < 1e-12
         assert abs(s.data.item() - s_ref) < 1e-12
@@ -110,31 +105,30 @@ class TestPmdStep:
 
 
 class TestReorient:
+    """Moving the scanned axis to the front, reversed for h- and w-, turns
+    every directional scan into a t- scan of the reoriented cuboid."""
+
     @pytest.mark.parametrize("direction", DIRECTIONS)
     def test_roundtrip(self, direction):
         rng = np.random.default_rng(5)
-        cuboid = Tensor(rng.uniform(size=(3, 4, 5, 2)))
-        tape = Tape()
-        planes = reorient(tape, cuboid, direction)
+        unit = make_unit(3, 2, 2, rng)
+        cuboid = rng.uniform(size=(3, 4, 5, 2))
         axis = {"t-": 0, "h-": 1, "h+": 1, "w-": 2, "w+": 2}[direction]
-        if direction in ("h-", "w-"):
-            planes = planes[::-1]
-        back = tape.stack(planes, axis=axis)
-        np.testing.assert_array_equal(back.data, cuboid.data)
+        step = -1 if direction in ("h-", "w-") else 1
+        reoriented = np.ascontiguousarray(np.moveaxis(cuboid, axis, 0)[::step])
+        via_time = pmd_scan(Tape(), unit, Tensor(reoriented), "t-").data
+        got = pmd_scan(Tape(), unit, Tensor(cuboid), direction).data
+        np.testing.assert_array_equal(got, np.moveaxis(via_time[::step], 0, axis))
 
     def test_time_planes_are_frames(self):
+        # the t- state at frame t sees frames 0..t and nothing later
         rng = np.random.default_rng(6)
-        cuboid = Tensor(rng.uniform(size=(3, 2, 2, 1)))
-        planes = reorient(Tape(), cuboid, "t-")
-        assert len(planes) == 3
-        for t, p in enumerate(planes):
-            np.testing.assert_array_equal(p.data, cuboid.data[t])
-
-    def test_h_minus_starts_at_far_row(self):
-        rng = np.random.default_rng(7)
-        cuboid = Tensor(rng.uniform(size=(2, 5, 3, 1)))
-        planes = reorient(Tape(), cuboid, "h-")
-        np.testing.assert_array_equal(planes[0].data, cuboid.data[:, 4])
+        unit = make_unit(3, 1, 2, rng)
+        cuboid = rng.uniform(size=(3, 2, 2, 1))
+        full = pmd_scan(Tape(), unit, Tensor(cuboid), "t-").data
+        for t in range(3):
+            prefix = pmd_scan(Tape(), unit, Tensor(cuboid[:t + 1]), "t-").data
+            np.testing.assert_array_equal(prefix, full[:t + 1])
 
 
 class TestPmdScan:
@@ -156,18 +150,22 @@ class TestPmdScan:
         _, s = pmd_step(tape, unit, Tensor(frames[0]))
         np.testing.assert_allclose(scanned.data[0], s.data, atol=1e-15)
 
-    def test_spatial_scan_positions_match_manual_steps(self):
-        # w+ on a cuboid: position w holds the state after scanning
-        # planes 0..w, each plane being the [T, H, C] slice
+    @pytest.mark.parametrize("direction", ["w+", "h-"])
+    def test_spatial_scan_positions_match_manual_steps(self, direction):
+        # w+: position w holds the state after scanning the [T, H, C]
+        # planes 0..w; h-: position h holds the state after the [T, W, C]
+        # planes H-1 down to h, so the scan starts at the far row
         rng = np.random.default_rng(9)
         unit = make_unit(3, 1, 2, rng)
         frames = rng.uniform(0, 1, size=(2, 3, 4, 1))
+        axis = {"w+": 2, "h-": 1}[direction]
+        order = range(frames.shape[axis])
         tape = Tape()
-        got = pmd_scan(tape, unit, Tensor(frames), "w+")
+        got = pmd_scan(tape, unit, Tensor(frames), direction).data
         c = s = None
-        for w in range(4):
-            c, s = pmd_step(tape, unit, Tensor(frames[:, :, w, :]), c, s)
-            np.testing.assert_allclose(got.data[:, :, w, :], s.data, atol=1e-15)
+        for i in (reversed(order) if direction == "h-" else order):
+            c, s = pmd_step(tape, unit, Tensor(np.take(frames, i, axis=axis)), c, s)
+            np.testing.assert_allclose(np.take(got, i, axis=axis), s.data, atol=1e-15)
 
     def test_constant_width_input_converges_to_fixed_point(self):
         rng = np.random.default_rng(10)
@@ -402,54 +400,70 @@ def layer_forward(tape, units, cuboid, block):
     return blend(tape, pmd_layer(tape, units, cuboid), block)
 
 
+def untied_copy_of(tied):
+    """A dws=False build of the tied model's spec whose h-/h+ and w-/w+
+    groups both hold copies of the tied h and w tensors."""
+    spec = ModelSpec(**{**tied.spec.to_dict(), "dws": False})
+    untied = build(spec, 0)
+    tied_params = tied.parameters
+    for name, t in untied.parameters.items():
+        layer, group, field = (name.split(".") + [""])[:3]
+        if group in ("h-", "h+", "w-", "w+"):
+            name = f"{layer}.{group[0]}.{field}"
+        t.data[...] = tied_params[name].data
+    return untied
+
+
 class TestDirectionalWeightSharing:
+    """Sharing is one PMDUnit object used by two directions: the model's
+    direction groups under DWS, or an aliased units dict."""
+
     def make_layer(self, rng, grad=False):
         return {d: make_unit(3, 1, 2, rng, grad=grad) for d in DIRECTIONS}
 
     def test_three_unique_parameter_sets(self):
-        units = tie_dws(self.make_layer(np.random.default_rng(19)))
+        layer = build(ModelSpec(layers=[(2, 2)], dws=True), 19).layers[0]
+        units = {d: layer.unit_for(d) for d in DIRECTIONS}
+        assert units["h+"] is units["h-"] and units["w+"] is units["w-"]
         unique = {id(t) for u in units.values() for _, t in u.fields()}
-        assert len(unique) == 3 * 12
+        assert len(unique) == 3 * len(units["t-"].fields())
 
     def test_perturbing_shared_tensor_changes_both_scans(self):
         rng = np.random.default_rng(20)
-        units = tie_dws(self.make_layer(rng))
+        u = make_unit(3, 1, 2, rng)
+        units = {"h-": u, "h+": u}
         frames = Tensor(rng.uniform(size=(2, 4, 4, 1)))
         before = {
             d: pmd_scan(Tape(), units[d], frames, d).data for d in ("h-", "h+")
         }
-        units["h-"].kx_in.data[0, 0, 0, 0] += 0.5
+        u.kx.data[0, 0, 0, 0] += 0.5  # the input gate's first kernel tap
         after = {d: pmd_scan(Tape(), units[d], frames, d).data for d in ("h-", "h+")}
         for d in ("h-", "h+"):
             assert np.max(np.abs(after[d] - before[d])) > 1e-6
 
     def test_tied_gradient_is_sum_of_untied(self):
         rng = np.random.default_rng(21)
-        untied = self.make_layer(rng, grad=True)
-        # make opposite directions numerically identical while keeping
-        # separate tensors, so outputs agree but gradients stay separate
-        for src, dst in (("h-", "h+"), ("w-", "w+")):
-            for (_, a), (_, b) in zip(untied[src].fields(), untied[dst].fields()):
-                b.data[...] = a.data
+        tied = build(ModelSpec(layers=[(2, 2)], dws=True), 21)
+        untied = untied_copy_of(tied)
         frames = Tensor(rng.uniform(size=(2, 4, 4, 1)))
-        block = BlendBlock("uniform", Tensor(np.eye(2)), Tensor(np.zeros(2)))
 
-        tape = Tape()
-        out = layer_forward(tape, untied, frames, block)
-        tape.backward(tape.sum(tape.mul(out, out)))
-        grad_minus = untied["h-"].kx_in.grad.copy()
-        grad_plus = untied["h+"].kx_in.grad.copy()
+        def backward(model):
+            tape = Tape()
+            out = forward_cuboid(tape, model, frames)
+            tape.backward(tape.sum(tape.mul(out, out)))
+            return out.data
 
-        tied = tie_dws({d: untied[d] for d in DIRECTIONS})
-        tape2 = Tape()
-        out2 = layer_forward(tape2, tied, frames, block)
-        tape2.backward(tape2.sum(tape2.mul(out2, out2)))
-        np.testing.assert_allclose(out2.data, out.data, atol=1e-12)
-        np.testing.assert_allclose(
-            tied["h-"].kx_in.grad, grad_minus + grad_plus, atol=1e-10
-        )
+        np.testing.assert_allclose(backward(tied), backward(untied), atol=1e-12)
+        grads = {name: t.grad for name, t in untied.parameters.items()}
+        for name, t in tied.parameters.items():
+            layer, group, field = (name.split(".") + [""])[:3]
+            if group in ("h", "w"):
+                want = grads[f"{layer}.{group}-.{field}"] + grads[f"{layer}.{group}+.{field}"]
+                np.testing.assert_allclose(t.grad, want, atol=1e-10)
 
     def test_tie_is_noop_when_already_identical(self):
+        # aliasing opposite directions to one unit changes no value when
+        # their separate units already hold equal parameters
         rng = np.random.default_rng(22)
         units = self.make_layer(rng)
         for src, dst in (("h-", "h+"), ("w-", "w+")):
@@ -457,13 +471,22 @@ class TestDirectionalWeightSharing:
                 b.data[...] = a.data
         frames = Tensor(rng.uniform(size=(2, 4, 4, 1)))
         block = BlendBlock("uniform", Tensor(np.eye(2)), Tensor(np.zeros(2)))
+        tied = {**units, "h+": units["h-"], "w+": units["w-"]}
         before = layer_forward(Tape(), units, frames, block).data
-        after = layer_forward(Tape(), tie_dws(units), frames, block).data
+        after = layer_forward(Tape(), tied, frames, block).data
         np.testing.assert_array_equal(before, after)
 
     def test_incompatible_shapes_rejected(self):
+        # a shared unit is one object, so its own shape check is what keeps
+        # every direction that uses it consistent
         rng = np.random.default_rng(23)
-        units = self.make_layer(rng)
-        units["h+"] = make_unit(3, 1, 3, rng)
-        with pytest.raises(ShapeError, match="tie"):
-            tie_dws(units)
+
+        def t(shape):
+            return Tensor(rng.uniform(size=shape))
+
+        with pytest.raises(ShapeError, match="ks"):
+            PMDUnit(kx=t((3, 3, 1, 8)), ks=t((3, 3, 3, 12)), b=t((8,)))
+        with pytest.raises(ShapeError, match="b"):
+            PMDUnit(kx=t((3, 3, 1, 8)), ks=t((3, 3, 2, 8)), b=t((2,)))
+        with pytest.raises(ShapeError, match="gates"):
+            PMDUnit(kx=t((3, 3, 1, 6)), ks=t((3, 3, 1, 6)), b=t((6,)))
