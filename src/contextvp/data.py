@@ -27,7 +27,6 @@ from contextvp.serial import (
     DimOverflowError,
     FormatError,
     Reader,
-    TruncatedFileError,
     Writer,
     atomic_write,
 )
@@ -231,6 +230,6 @@ def load_dataset(path: str) -> Dataset:
         raise FormatError(f"unknown dtype code {dtype}")
     payload = reader.take(4 * total)
     if not reader.done():
-        raise TruncatedFileError("trailing bytes after frame data")
+        raise FormatError("trailing bytes after frame data")
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
     return Dataset(data, meta={"path": path})

@@ -9,11 +9,23 @@ whatever consumes it (the next layer, or the output head after the last
 layer). The head takes the t = T slice of the final carry, projects it to
 the frame's channel count with a 1x1 convolution and applies a sigmoid,
 so predictions always land in (0, 1).
+
+`param_shapes(spec)` is the parameter table: every tensor's name and
+shape, in draw order, which is also file order. Layers come in ascending
+order; within a layer, each direction group of `direction_groups(spec)`
+in DIRECTIONS order with its `kx`, `ks` and `b`, then `blend.weight` and
+`blend.bias`; last `head.weight` and `head.bias`. Under directional
+weight sharing (DWS) h-/h+ form group h and w-/w+ group w; without it
+each direction is its own group; the time-only baseline has the one
+group t- and no blend. `build` draws the table's entries from a seed,
+`count_from_spec` sums its shapes, and `load_model` checks each stored
+tensor's header against it before reading the values into fresh arrays.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -54,18 +66,21 @@ class ModelSpec:
     in_channels: int = 1
 
     def __post_init__(self):
-        # index() takes Python and numpy integers and rejects floats
+        # index() takes Python and numpy integers and rejects floats and strings
         self.kernel = operator.index(self.kernel)
         self.in_channels = operator.index(self.in_channels)
-        self.layers = [tuple(int(v) for v in pair) for pair in self.layers]
+        self.layers = [tuple(map(operator.index, pair)) for pair in self.layers]
         if self.skip_pairs is None:
             self.skip_pairs = [(1, 3), (2, 4)] if len(self.layers) >= 4 else []
-        self.skip_pairs = [tuple(int(v) for v in pair) for pair in self.skip_pairs]
+        self.skip_pairs = [tuple(map(operator.index, pair)) for pair in self.skip_pairs]
         self.validate()
 
     def validate(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind {self.kind!r} not in {KINDS}")
+        for name in ("dws", "blend_layer_norm"):
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if not self.layers:
             raise ValueError("model needs at least one layer")
         if any(n1 < 1 or n2 < 1 for n1, n2 in self.layers):
@@ -135,11 +150,34 @@ class ModelSpec:
                    dws=False, **kw)
 
 
-# direction -> parameter group; opposite directions collapse under sharing
-def direction_groups(dws: bool):
-    if dws:
+def direction_groups(spec: ModelSpec) -> dict:
+    """Direction -> parameter group, in DIRECTIONS order. Under DWS the
+    opposite spatial directions share a group; the baseline scans t- only."""
+    if spec.kind != "contextvp":
+        return {"t-": "t-"}
+    if spec.dws:
         return {"t-": "t-", "h-": "h", "h+": "h", "w-": "w", "w+": "w"}
     return {d: d for d in DIRECTIONS}
+
+
+def param_shapes(spec: ModelSpec) -> dict:
+    """Name -> shape of every parameter tensor, in draw and file order."""
+    spec.validate()
+    k = spec.kernel
+    groups = dict.fromkeys(direction_groups(spec).values())
+    shapes = {}
+    for idx, (cin, (n1, n2)) in enumerate(zip(spec.layer_in_channels(), spec.layers), start=1):
+        for group in groups:
+            shapes[f"layer{idx}.{group}.kx"] = (k, k, cin, len(GATES) * n1)
+            shapes[f"layer{idx}.{group}.ks"] = (k, k, n1, len(GATES) * n1)
+            shapes[f"layer{idx}.{group}.b"] = (len(GATES) * n1,)
+        if spec.kind == "contextvp":
+            rows = n1 if spec.blend_mode == "uniform" else len(DIRECTIONS) * n1
+            shapes[f"layer{idx}.blend.weight"] = (rows, n2)
+            shapes[f"layer{idx}.blend.bias"] = (n2,)
+    shapes["head.weight"] = (spec.head_in_channels(), spec.in_channels)
+    shapes["head.bias"] = (spec.in_channels,)
+    return shapes
 
 
 class Layer:
@@ -153,84 +191,57 @@ class Layer:
 
 
 class Model:
-    """Immutable during inference; training mutates parameter data."""
+    """Immutable during inference; training mutates parameter data.
 
-    def __init__(self, spec: ModelSpec, layers: list, head_weight: Tensor,
-                 head_bias: Tensor):
+    `parameters` is the ordered name -> Tensor map of `param_shapes(spec)`;
+    the layers' units and blend blocks hold those same tensors.
+    """
+
+    def __init__(self, spec: ModelSpec, parameters: dict):
         self.spec = spec
-        self.layers = layers
-        self.head_weight = head_weight
-        self.head_bias = head_bias
-
-    @property
-    def parameters(self) -> dict:
-        """Ordered name -> Tensor map; shared tensors appear once."""
-        params = {}
-        for idx, layer in enumerate(self.layers, start=1):
-            for group, unit in layer.unit_groups.items():
-                for fname, t in unit.fields():
-                    params[f"layer{idx}.{group}.{fname}"] = t
-            if layer.blend_block is not None:
-                params[f"layer{idx}.blend.weight"] = layer.blend_block.weight
-                params[f"layer{idx}.blend.bias"] = layer.blend_block.bias
-        params["head.weight"] = self.head_weight
-        params["head.bias"] = self.head_bias
-        return params
-
-
-def _build_unit(k, cin, ch, rng) -> PMDUnit:
-    """Each gate's kernel is drawn on its own (fan-out k*k*Ch), kx gates
-    before ks gates, then stacked once into the unit's layout."""
-    arrays = [
-        np.concatenate([xavier_conv_kernel(k, fan_in, ch, rng) for _ in GATES], axis=3)
-        for fan_in in (cin, ch)
-    ]
-    arrays.append(np.zeros(len(GATES) * ch))
-    return PMDUnit(*(Tensor(a, requires_grad=True) for a in arrays))
+        self.parameters = parameters
+        groups = direction_groups(spec)
+        self.layers = []
+        for idx in range(1, len(spec.layers) + 1):
+            pre = f"layer{idx}."
+            units = {
+                g: PMDUnit(*(parameters[f"{pre}{g}.{f}"] for f in ("kx", "ks", "b")))
+                for g in dict.fromkeys(groups.values())
+            }
+            block = None
+            if pre + "blend.weight" in parameters:
+                block = BlendBlock(spec.blend_mode, parameters[pre + "blend.weight"],
+                                   parameters[pre + "blend.bias"], spec.blend_activation,
+                                   spec.blend_layer_norm)
+            self.layers.append(Layer(units, groups, block))
+        self.head_weight = parameters["head.weight"]
+        self.head_bias = parameters["head.bias"]
 
 
 def build(spec: ModelSpec, seed: int) -> Model:
-    """Instantiate all parameters from the seeded stream.
+    """Instantiate all parameters from the seeded stream, in
+    `param_shapes` order.
 
-    Kernels get the fan-balanced uniform init, biases start at zero.
-    Draw order is fixed (layers ascending, groups in direction order,
-    gates in (in, forget, out, cell) order), so a seed fully determines
-    the parameter bytes.
+    A unit kernel is one fan-balanced uniform draw per gate, in (in,
+    forget, out, cell) order, stacked on the last axis; blend and head
+    weights are one draw each; biases start at zero. A seed therefore
+    fully determines the parameter bytes.
     """
-    spec.validate()
     rng = SplitMix64(seed)
-    groups = direction_groups(spec.dws if spec.kind == "contextvp" else False)
-    group_order = list(dict.fromkeys(groups[d] for d in DIRECTIONS))
-    in_channels = spec.layer_in_channels()
-
-    layers = []
-    for idx, (n1, n2) in enumerate(spec.layers):
-        cin = in_channels[idx]
-        if spec.kind == "contextvp":
-            unit_groups = {
-                g: _build_unit(spec.kernel, cin, n1, rng) for g in group_order
-            }
-            rows = n1 if spec.blend_mode == "uniform" else len(DIRECTIONS) * n1
-            block = BlendBlock(
-                mode=spec.blend_mode,
-                weight=Tensor(xavier_uniform((rows, n2), rows, n2, rng),
-                              requires_grad=True),
-                bias=Tensor(np.zeros(n2), requires_grad=True),
-                activation=spec.blend_activation,
-                layer_norm=spec.blend_layer_norm,
+    params = {}
+    for name, shape in param_shapes(spec).items():
+        if name.endswith((".kx", ".ks")):
+            k, _, fan_in, stacked = shape
+            ch = stacked // len(GATES)
+            data = np.concatenate(
+                [xavier_conv_kernel(k, fan_in, ch, rng) for _ in GATES], axis=3
             )
-            layers.append(Layer(unit_groups, groups, block))
+        elif name.endswith(".weight"):
+            data = xavier_uniform(shape, *shape, rng)
         else:
-            unit = _build_unit(spec.kernel, cin, n1, rng)
-            layers.append(Layer({"t-": unit}, {"t-": "t-"}, None))
-
-    head_in = spec.head_in_channels()
-    head_weight = Tensor(
-        xavier_uniform((head_in, spec.in_channels), head_in, spec.in_channels, rng),
-        requires_grad=True,
-    )
-    head_bias = Tensor(np.zeros(spec.in_channels), requires_grad=True)
-    return Model(spec, layers, head_weight, head_bias)
+            data = np.zeros(shape)
+        params[name] = Tensor(data, requires_grad=True)
+    return Model(spec, params)
 
 
 # -- forward -----------------------------------------------------------------
@@ -300,28 +311,12 @@ def predict_recursive(model: Model, frames: np.ndarray, p: int) -> np.ndarray:
 
 def count_parameters(model: Model) -> int:
     """Distinct scalars; tensors shared between directions count once."""
-    seen = {}
-    for t in model.parameters.values():
-        seen[id(t)] = t.size
-    return int(sum(seen.values()))
+    return sum(t.size for t in model.parameters.values())
 
 
 def count_from_spec(spec: ModelSpec) -> int:
     """Parameter count computed from shapes alone, without building."""
-    spec.validate()
-    k = spec.kernel
-    n_groups = 3 if (spec.kind == "contextvp" and spec.dws) else (
-        5 if spec.kind == "contextvp" else 1
-    )
-    total = 0
-    for cin, (n1, n2) in zip(spec.layer_in_channels(), spec.layers):
-        per_unit = 4 * (k * k * cin * n1 + k * k * n1 * n1 + n1)
-        total += n_groups * per_unit
-        if spec.kind == "contextvp":
-            rows = n1 if spec.blend_mode == "uniform" else len(DIRECTIONS) * n1
-            total += rows * n2 + n2
-    total += spec.head_in_channels() * spec.in_channels + spec.in_channels
-    return total
+    return sum(math.prod(shape) for shape in param_shapes(spec).values())
 
 
 def baseline_width_for(target_params: int, n_layers: int = 20, kernel: int = 3,
@@ -385,40 +380,39 @@ def load_model(path: str) -> Model:
     spec_blob = reader.take(reader.u64())
     try:
         spec = ModelSpec.from_dict(json.loads(spec_blob.decode()))
-        n_scalars = count_from_spec(spec)
+        shapes = param_shapes(spec)
     except (ValueError, TypeError, RecursionError) as exc:
         raise serial.FormatError(f"invalid model spec: {exc}") from exc
-    # checked before build, which would otherwise allocate what a forged
-    # spec asks for
+    # checked before any tensor is read, so a forged spec cannot make the
+    # loader allocate what it asks for
+    n_scalars = count_from_spec(spec)
     if 8 * n_scalars > reader.remaining():
         raise serial.TruncatedFileError(
             f"spec needs {n_scalars} float64 values, file has {reader.remaining()} bytes left"
         )
-    model = build(spec, seed=0)
-    params = model.parameters
     n_tensors = reader.u64()
-    seen = set()
+    params = {}
     for _ in range(n_tensors):
         try:
             name = reader.take(reader.u32()).decode()
         except UnicodeDecodeError as exc:
             raise serial.FormatError(f"tensor name is not UTF-8: {exc}") from exc
-        if name in seen:
+        if name in params:
             raise NameCollisionError(f"duplicate tensor name {name!r}")
-        seen.add(name)
         rank = reader.u32()
         shape = tuple(reader.u64() for _ in range(rank))
-        if name not in params:
+        if name not in shapes:
             raise serial.FormatError(f"unexpected tensor name {name!r}")
-        target = params[name].data
-        if target.shape != shape:
+        if shapes[name] != shape:
             raise serial.FormatError(
-                f"tensor {name!r} has shape {shape}, spec expects {target.shape}"
+                f"tensor {name!r} has shape {shape}, spec expects {shapes[name]}"
             )
-        target[...] = np.frombuffer(reader.take(8 * target.size), dtype="<f8").reshape(shape)
-    if seen != set(params):
-        missing = sorted(set(params) - seen)
+        values = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8")
+        # astype copies, so the parameter is writable and owns its memory
+        params[name] = Tensor(values.reshape(shape).astype(np.float64), requires_grad=True)
+    if params.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - params.keys())
         raise serial.FormatError(f"missing tensors: {missing[:3]}...")
     if not reader.done():
         raise serial.FormatError("trailing bytes after last tensor")
-    return model
+    return Model(spec, {name: params[name] for name in shapes})

@@ -45,3 +45,22 @@ def test_tracer_hooks_resolve_and_uninstall_restores():
         t.uninstall()
     for (owner, attr), original in zip(patched, originals):
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr} not restored"
+
+
+def test_tracer_attaches_to_a_reloaded_model(tmp_path):
+    # the predict workload attaches the model it got back from load_model
+    tracer = load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        path = str(tmp_path / "model.cvpm")
+        cv_model.save_model(cv_model.build(cv_model.ModelSpec(), 0), path)
+        model = cv_model.load_model(path)
+        t.attach(model)
+        frames = np.random.default_rng(1).uniform(size=(2, 4, 4, 1))
+        with t.root("predict", 0):
+            cv_model.forward_predict(model, frames)
+        assert {"model.forward", "pmd.blend"} <= {span[0] for span in t.spans}
+        assert t.summarize([0], [0])["model.forward_s"] > 0.0
+    finally:
+        t.uninstall()

@@ -102,8 +102,10 @@ class TestDatasetFile:
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "d.cvpd"
         path.write_bytes(dataset_bytes(small_dataset()) + b"\0")
-        with pytest.raises(FormatError, match="trailing"):
+        with pytest.raises(FormatError, match="trailing") as info:
             load_dataset(str(path))
+        # the file is too long, not too short
+        assert not isinstance(info.value, TruncatedFileError)
 
     def test_implausible_dimensions(self, tmp_path):
         w = Writer()

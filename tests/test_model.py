@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -30,6 +31,7 @@ from contextvp.model import (
     forward_predict,
     load_model,
     model_bytes,
+    param_shapes,
     predict_recursive,
     save_model,
 )
@@ -74,6 +76,14 @@ class TestBuild:
             ModelSpec(layers=[(2, 2)], kernel=4)
         with pytest.raises(ValueError):
             ModelSpec(layers=[(2, 2)], skip_pairs=[(1, 1)])
+        with pytest.raises(TypeError):
+            ModelSpec(layers=[(2, 2)], dws="no")
+        with pytest.raises(TypeError):
+            ModelSpec(layers=[(2, 2)], blend_layer_norm=1)
+        with pytest.raises(TypeError):
+            ModelSpec(layers=[(8.7, 8)])
+        with pytest.raises(TypeError):
+            ModelSpec(layers=[(2, 2), (2, 2)], skip_pairs=[(1.5, 1)])
 
     def test_unit_tensors_are_gate_stacked(self):
         # three tensors per unit; each gate's kernel is its own Xavier draw,
@@ -284,7 +294,10 @@ class TestCounting:
             ModelSpec.convlstm_baseline(width=3, n_layers=5),
             ModelSpec(layers=[(2, 2)] * 4, in_channels=3),
         ):
-            assert count_parameters(build(spec, 0)) == count_from_spec(spec)
+            model = build(spec, 0)
+            assert count_parameters(model) == count_from_spec(spec)
+            assert [(name, t.shape) for name, t in model.parameters.items()] == \
+                list(param_shapes(spec).items())
 
     def test_sharing_accounting(self):
         untied_spec = ModelSpec(layers=[(3, 3), (4, 4)], dws=False)
@@ -356,6 +369,54 @@ class TestSerialization:
         untied = ModelSpec(layers=[(3, 3)], dws=False)
         assert len(model_bytes(build(tied, 0))) < len(model_bytes(build(untied, 0)))
 
+    @pytest.mark.parametrize("spec, digest", [
+        (ModelSpec(), "ab1551cf255dc193377aae6db212f78b400514a6f1cbde8fcd858cf0eb68e691"),
+        (ModelSpec.convlstm_baseline(width=10),
+         "f76f6e0823f0cb63ba00713115a1c72582f4e3fb7639589a0f35b24d81b0661e"),
+    ], ids=["default", "baseline-width-10"])
+    def test_parameter_bytes_pinned(self, spec, digest):
+        # any change to the draw order, the names or the file layout moves
+        # these, and files written before it would no longer load the same
+        assert hashlib.sha256(model_bytes(build(spec, 0))).hexdigest() == digest
+
+    def test_load_does_not_build(self, tmp_path, monkeypatch):
+        model = build(ModelSpec(layers=[(3, 3), (2, 2)]), 23)
+        path = tmp_path / "model.cvpm"
+        save_model(model, str(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build or a seeded draw called")
+
+        monkeypatch.setattr(model_module, "build", refuse)
+        monkeypatch.setattr(model_module, "SplitMix64", refuse)
+        assert model_bytes(load_model(str(path))) == path.read_bytes()
+
+    def test_reloaded_model_trains_identically(self, tmp_path):
+        model = build(ModelSpec(layers=[(3, 3), (2, 2)]), 24)
+        path = tmp_path / "model.cvpm"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
+        for t in loaded.parameters.values():
+            assert t.data.flags.writeable and t.data.flags.owndata
+        rng = np.random.default_rng(10)
+        x = rng.uniform(size=(2, 3, 5, 5, 1))
+        y = rng.uniform(size=(2, 5, 5, 1))
+
+        def two_steps(m):
+            adam = AdamState.for_parameters(m.parameters)
+            grads = []
+            for _ in range(2):
+                tape = Tape()
+                pred = forward_cuboid(tape, m, Tensor(x))
+                tape.backward(combined_loss(tape, Tensor(y), pred, LossSpec()))
+                grads += [t.grad.tobytes() for t in m.parameters.values()]
+                adam_step(adam, m.parameters)
+            return grads
+
+        assert two_steps(loaded) == two_steps(model)
+        assert model_bytes(loaded) == model_bytes(model)
+        assert model_bytes(loaded) != path.read_bytes()
+
     def test_version_1_file_rejected(self, tmp_path):
         blob = bytearray(model_bytes(build(tiny_spec(), 0)))
         blob[4:8] = (1).to_bytes(4, "little")
@@ -403,8 +464,11 @@ class TestMalformedModelFiles:
         tiny_spec_json(kernel=3.0),
         tiny_spec_json(layers=[["a", 2]]),
         b"[" * 100_000 + b"]" * 100_000,
+        tiny_spec_json(dws="no"),
+        tiny_spec_json(layers=[[2.5, 2]]),
     ], ids=["corrupt-json", "not-utf8", "not-an-object", "unknown-key", "even-kernel",
-            "float-kernel", "text-width", "nested-past-recursion-limit"])
+            "float-kernel", "text-width", "nested-past-recursion-limit", "dws-string",
+            "float-width"])
     def test_bad_spec(self, tmp_path, spec_json):
         with pytest.raises(serial.FormatError, match="invalid model spec"):
             load_cvpm(tmp_path, spec_json)
