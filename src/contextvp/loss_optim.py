@@ -176,7 +176,7 @@ def xavier_uniform(shape, fan_in: int, fan_out: int, rng: SplitMix64) -> np.ndar
     fan_out)), so the variance is 2 / (fan_in + fan_out). Values are drawn
     in row-major element order from the given stream."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    flat = np.array([rng.next_float() for _ in range(int(np.prod(shape)))])
+    flat = rng.next_floats(int(np.prod(shape)))
     return ((2.0 * flat - 1.0) * bound).reshape(shape)
 
 

@@ -20,27 +20,43 @@ direction groups do under directional weight sharing (DWS).
 `pmd_layer` records a layer's scans as one tape node. Its forward runs
 each direction's recurrence plane by plane in plain numpy, with the float
 operations of the tape-composed step (conv2d, gate slices, sigmoid, tanh,
-mul, add), so its values are bit-identical to that chain. It returns the
-directions' states concatenated on the channel axis in DIRECTIONS order;
-the time-only ConvLSTM baseline uses the same node with only t-. Its
-hand-written backward runs BPTT per direction, then computes that
-direction's kernel, bias and input gradients in one pass over all planes
-(one matmul each, after Appleyard et al. 2016, arXiv:1604.01946), and
-sums the directions' input gradients in DIRECTIONS order. Units aliased
-between directions (DWS) get one contribution per direction, in that
-order.
+mul, add), so its values are bit-identical to that chain. Each plane step
+writes into buffers made once per sweep, the state straight into its
+plane of the output. exp and tanh only ever read and write contiguous
+buffers: numpy may run a strided operand through another SIMD loop,
+whose last bits differ. The node returns the directions' states
+concatenated on the channel axis in DIRECTIONS order; the time-only
+ConvLSTM baseline uses the same node with only t-.
 
-The directions are independent given the layer input, so they can run
+The node groups its directions by (unit object, scan axis): under DWS,
+{t-}, {h-, h+} and {w-, w+}; otherwise one direction per group. Both
+directions of a pair see the same planes through the same kx and b, so
+the group's first direction projects each input plane (per-plane im2col,
+matmul, bias) and stores the projection, which its partner reads instead
+of recomputing it. When the tape records, the store is the partner's
+gate-activation buffer, which the partner overwrites plane by plane after
+reading it; otherwise it is one [L, *plane, 4Ch] buffer. Hoisting the
+projection out of the recurrence follows Appleyard et al. 2016
+(arXiv:1604.01946); it pays here only when shared, as a whole-cuboid
+projection is slower than per-plane ones at these shapes. The
+hand-written backward runs BPTT and the state kernel gradient per
+direction, then adds the pair's pre-activation gradients and takes one kx
+gradient, one bias sum and one input gradient per group. A kx or b
+tensor shared within a group therefore gets its gradient once, at its
+first slot among the node's inputs. The input gradients are summed in
+group order; tensors shared across groups get one contribution per group.
+
+The groups are independent given the layer input, so they can run
 concurrently, as in PyraMiD-LSTM (Stollenga et al. 2015,
 arXiv:1506.07452). A recorded node (the tape records and some input needs
-a gradient) runs its directions' forward and backward on a module-level
-pool of min(len(DIRECTIONS), usable cores) threads, created on first use;
+a gradient) runs its groups' forward and backward on a module-level pool
+of min(len(DIRECTIONS), usable cores) threads, created on first use;
 numpy releases the interpreter lock inside its array loops and BLAS
 calls. An unrecorded node, as in inference, runs them in the calling
 thread: at batch 1 the pool gave no speed-up and raised peak memory.
-Each direction's arithmetic does not depend on the thread that runs it,
-and the results are combined in a fixed order, so values and gradients
-are bit-identical with and without the pool.
+Each group's arithmetic does not depend on the thread that runs it, and
+the results are combined in a fixed order, so values and gradients are
+bit-identical with and without the pool.
 
 Blending projects the concatenated states pointwise with a 1x1
 convolution: weighted mode with its [5*N1, N2] weight, uniform mode with
@@ -167,57 +183,90 @@ class _Sweep:
 
     Arrays shaped like the cuboid are viewed plane-first, [L, *plane, C],
     with the scanned axis moved to the front; plane i is the cuboid's
-    i-th slice along that axis, whatever the scan order.
+    i-th slice along that axis, whatever the scan order. With `keep`, the
+    gate activations `acts` [L, *plane, 4Ch] and cells [L, *plane, Ch] are
+    stored for backward.
     """
 
-    def __init__(self, direction: str, unit: PMDUnit, cuboid: Tensor, offset: int):
+    def __init__(self, direction: str, unit: PMDUnit, cuboid: Tensor, offset: int, keep: bool):
         self.axis, self.reverse, self.order = _scan_layout(cuboid, direction)
         self.need_params = any(t.requires_grad for _, t in unit.fields())
         self.k = unit.kernel_size
         self.ch = unit.hidden
         self.span = slice(offset, offset + self.ch)
         self.kx, self.ks, self.b = unit.kx.data, unit.ks.data, unit.b.data
-        self.acts = self.cells = None
+        lead = self.planes(cuboid.data).shape[:-1]
+        self.proj_shape = lead + (4 * self.ch,)
+        self.acts = np.empty(self.proj_shape) if keep else None
+        self.cells = np.empty(lead + (self.ch,)) if keep else None
 
     def planes(self, a: np.ndarray) -> np.ndarray:
         return np.moveaxis(a, self.axis, 0)
 
-    def forward(self, x: np.ndarray, out: np.ndarray, keep: bool) -> None:
-        """Write this direction's states into its channels of `out`. With
-        `keep`, also store the gate activations and cells for backward.
-        The convolutions are Tape.conv2d's float operations."""
+    def forward(self, x: np.ndarray, out: np.ndarray, proj=None, store=None) -> None:
+        """Write this direction's states into its channels of `out`.
+
+        Each plane's input projection (patch rows @ kx + b) is computed
+        here, or read from `proj` [L, *plane, 4Ch] when a direction with
+        this unit and axis stored it; with `store`, it is also written
+        there. The float operations are those of Tape.conv2d, sigmoid and
+        tanh; every plane step writes into buffers made once."""
         ch, k = self.ch, self.k
-        xs, states = self.planes(x), self.planes(out[..., self.span])
-        x_rows = PatchRows(xs.shape[1:], k, k)
+        states = self.planes(out[..., self.span])
+        plane = states.shape[1:-1]
         s_rows = PatchRows(states.shape[1:], k, k)
-        kx, ks = self.kx.reshape(-1, 4 * ch), self.ks.reshape(-1, 4 * ch)
-        pre_shape = states.shape[1:-1] + (4 * ch,)
-        if keep:
-            self.acts = np.empty(states.shape[:-1] + (4 * ch,))
-            self.cells = np.empty(states.shape)
-        c = s = None
+        ks = self.ks.reshape(-1, 4 * ch)
+        if proj is None:
+            xs = self.planes(x)
+            x_rows = PatchRows(xs.shape[1:], k, k)
+            kx = self.kx.reshape(-1, 4 * ch)
+        pre = np.empty(plane + (4 * ch,))
+        s_pre = np.empty(pre.shape)
+        # exp and tanh run on these contiguous buffers: a strided operand
+        # can take another SIMD loop, whose last bits differ
+        gates = np.empty(plane + (3 * ch,))
+        cand, ic, tc = (np.empty(plane + (ch,)) for _ in range(3))
+        gate_in, gate_forget, gate_out = gates[..., :ch], gates[..., ch:2 * ch], gates[..., 2 * ch:]
+        # the cell: this direction's cells when kept, else one buffer updated in place
+        c = None if self.cells is not None else np.empty(plane + (ch,))
+        prev = None
         for i in self.order:
-            pre = (x_rows(xs[i]) @ kx).reshape(pre_shape) + self.b
-            if s is not None:
-                pre = pre + (s_rows(s) @ ks).reshape(pre_shape)
+            if proj is not None:
+                xp = proj[i]
+            else:
+                xp = pre if store is None else store[i]
+                np.matmul(x_rows(xs[i]), kx, out=xp.reshape(-1, 4 * ch))
+                np.add(xp, self.b, out=xp)
+            p = xp
+            if prev is not None:
+                np.matmul(s_rows(states[prev]), ks, out=s_pre.reshape(-1, 4 * ch))
+                p = np.add(xp, s_pre, out=pre)
             with np.errstate(over="ignore"):  # exp(710+) = inf gives exactly 0
-                gates = 1.0 / (1.0 + np.exp(-pre[..., :3 * ch]))
-            cand = np.tanh(np.ascontiguousarray(pre[..., 3 * ch:]))
-            gate_in, gate_forget, gate_out = gates[..., :ch], gates[..., ch:2 * ch], gates[..., 2 * ch:]
-            c = gate_in * cand if c is None else gate_forget * c + gate_in * cand
-            s = gate_out * np.tanh(c)
-            states[i] = s
-            if keep:
+                np.negative(p[..., :3 * ch], out=gates)
+                np.exp(gates, out=gates)
+            np.add(1.0, gates, out=gates)
+            np.divide(1.0, gates, out=gates)
+            np.copyto(cand, p[..., 3 * ch:])
+            np.tanh(cand, out=cand)
+            if self.cells is not None:
+                c = self.cells[i]
+            if prev is None:
+                np.multiply(gate_in, cand, out=c)
+            else:
+                np.multiply(gate_in, cand, out=ic)
+                np.multiply(gate_forget, c_prev, out=c)
+                np.add(c, ic, out=c)
+            np.tanh(c, out=tc)
+            np.multiply(gate_out, tc, out=states[i])
+            if self.acts is not None:  # after p is read: p may be acts[i]
                 self.acts[i, ..., :3 * ch] = gates
                 self.acts[i, ..., 3 * ch:] = cand
-                self.cells[i] = c
+            prev, c_prev = i, c
 
-    def backward(self, x, out, g, need_x: bool):
-        """BPTT over the planes in reverse scan order, then the kernel, bias
-        and input gradients in one pass over all planes. Returns
-        (gkx, gks, gb, gx): gate-stacked kernel and bias gradients (None
-        when the unit needs none) and the plane-first input gradient (None
-        unless `need_x`)."""
+    def bptt(self, out: np.ndarray, g: np.ndarray):
+        """BPTT over the planes in reverse scan order. Returns the
+        plane-first pre-activation gradient dpre [L, *plane, 4Ch] and the
+        state kernel gradient (None when the unit needs none)."""
         ch, k = self.ch, self.k
         states, gs = self.planes(out[..., self.span]), self.planes(g[..., self.span])
         acts, cells = self.acts, self.cells
@@ -245,10 +294,8 @@ class _Sweep:
                 dc = d_c * gate_forget
                 ds = conv_input_grad(d, self.ks)
 
-        gkx = gks = gb = gx = None
+        gks = None
         if self.need_params:
-            rows = dpre.reshape(-1, 4 * ch)
-            gkx = (im2col(self.planes(x), k, k).T @ rows).reshape(self.kx.shape)
             # plane i saw the state of the plane before it in scan order
             seen, fed = (slice(None, -1), slice(1, None))
             if self.reverse:
@@ -256,10 +303,42 @@ class _Sweep:
             gks = (im2col(states[seen], k, k).T @ dpre[fed].reshape(-1, 4 * ch)).reshape(
                 self.ks.shape
             )
-            gb = rows.sum(axis=0)
-        if need_x:
-            gx = conv_input_grad(dpre, self.kx)
-        return gkx, gks, gb, gx
+        return dpre, gks
+
+
+def _group_forward(group: list, x: np.ndarray, out: np.ndarray) -> None:
+    """Run a direction group's sweeps. The first projects the input and
+    stores the projection for its partner, if it has one: into the
+    partner's `acts`, which its step overwrites plane by plane after reading
+    them, or else into one buffer of the partner's projection shape."""
+    first, *rest = group
+    if not rest:
+        first.forward(x, out)
+        return
+    (partner,) = rest
+    store = partner.acts if partner.acts is not None else np.empty(partner.proj_shape)
+    first.forward(x, out, store=store)
+    partner.forward(x, out, proj=store)
+
+
+def _group_backward(group: list, x: np.ndarray, out: np.ndarray, g: np.ndarray, need_x: bool):
+    """BPTT per direction, then one kx, bias and input gradient for the
+    group from its summed pre-activation gradients. Returns ([gkx, gks,
+    gb] per direction, None for kx and b after the first; the plane-first
+    input gradient, None unless `need_x`)."""
+    first = group[0]
+    dpre, gks = first.bptt(out, g)
+    grads = [[None, gks, None]]
+    for sw in group[1:]:
+        dpre_partner, gks = sw.bptt(out, g)
+        dpre += dpre_partner
+        grads.append([None, gks, None])
+    if first.need_params:
+        rows = dpre.reshape(-1, dpre.shape[-1])
+        grads[0][0] = (im2col(first.planes(x), first.k, first.k).T @ rows).reshape(first.kx.shape)
+        grads[0][2] = rows.sum(axis=0)
+    gx = conv_input_grad(dpre, first.kx) if need_x else None
+    return grads, gx
 
 
 def _map(fn, items, parallel: bool) -> list:
@@ -292,23 +371,32 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
             raise ShapeError(
                 f"cuboid has {cin} channels, {d} unit expects {units[d].in_channels}"
             )
-    offsets = np.cumsum([0] + [units[d].hidden for d in directions])
-    sweeps = [_Sweep(d, units[d], cuboid, off) for d, off in zip(directions, offsets)]
     inputs = (cuboid,) + tuple(t for d in directions for _, t in units[d].fields())
     keep = tape.recording and any(t.requires_grad for t in inputs)
+    offsets = np.cumsum([0] + [units[d].hidden for d in directions])
+    groups = {}  # (unit, scan axis) -> sweeps, in DIRECTIONS order
+    for d, off in zip(directions, offsets):
+        groups.setdefault((id(units[d]), _SCAN[d][0]), []).append(
+            _Sweep(d, units[d], cuboid, off, keep)
+        )
+    groups = list(groups.values())
     x = cuboid.data
     out = np.empty(x.shape[:-1] + (int(offsets[-1]),))
-    _map(lambda sw: sw.forward(x, out, keep), sweeps, parallel=keep)
+    _map(lambda group: _group_forward(group, x, out), groups, parallel=keep)
 
     def backward(g):
         need_x = cuboid.requires_grad
-        grads = _map(lambda sw: sw.backward(x, out, g, need_x), sweeps, parallel=True)
+        results = _map(
+            lambda group: _group_backward(group, x, out, g, need_x), groups, parallel=True
+        )
         gx = None
         if need_x:
             gx = np.zeros(x.shape)
-            for sw, (*_, gx_dir) in zip(sweeps, grads):
-                gx += np.moveaxis(gx_dir, 0, sw.axis)
-        return [gx] + [grad for *params, _ in grads for grad in params]
+            for group, (_, gx_group) in zip(groups, results):
+                gx += np.moveaxis(gx_group, 0, group[0].axis)
+        # a pair's directions are neighbours in DIRECTIONS (h-, h+ and
+        # w-, w+), so the groups list the directions in that order
+        return [gx] + [grad for grads, _ in results for per_dir in grads for grad in per_dir]
 
     return tape.record("pmd_layer", inputs, out, backward)
 

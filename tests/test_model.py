@@ -247,6 +247,22 @@ class TestTraining:
 
         assert run() == run()
 
+    def test_repeated_backward_through_layer_nodes(self, monkeypatch):
+        # Tape.backward clears and recomputes: the fused nodes must not
+        # consume what they keep for backward
+        monkeypatch.setattr(pmd, "_THREADS", 2)  # use the pool even on one core
+        rng = np.random.default_rng(8)
+        model = build(ModelSpec(), 0)
+        tape = Tape()
+        pred = forward_cuboid(tape, model, Tensor(rng.uniform(size=(2, 3, 6, 6, 1))))
+        loss = combined_loss(tape, Tensor(rng.uniform(size=(2, 6, 6, 1))), pred, LossSpec())
+        assert sum(n.kind == "pmd_layer" for n in tape.nodes) == len(model.layers)
+        grads = []
+        for _ in range(2):
+            tape.backward(loss)
+            grads.append([t.grad.tobytes() for t in model.parameters.values()])
+        assert grads[0] == grads[1]
+
 
 class TestRecursive:
     def test_p1_equals_forward(self):

@@ -182,10 +182,23 @@ class TestPmdScan:
         assert diffs[-1] < diffs[0]
 
 
-def aliased_units(rng, cin, ch):
-    """Five direction units under DWS: h+ and w+ are the h- and w- units."""
-    units = {d: make_unit(3, cin, ch, rng, grad=True) for d in ("t-", "h-", "w-")}
-    return {**units, "h+": units["h-"], "w+": units["w-"]}
+# direction -> the direction whose unit it reuses
+ALIAS_PATTERNS = {
+    "dws": {"h+": "h-", "w+": "w-"},
+    "one-unit": {d: "t-" for d in DIRECTIONS[1:]},
+    # one unit on three scan axes: no two of these may share a projection
+    "across-axes": {"h-": "t-", "w+": "t-"},
+    "none": {},
+}
+
+
+def aliased_units(rng, cin, ch, pattern="dws"):
+    """Five direction units, aliased as ALIAS_PATTERNS[pattern] says; by
+    default under DWS, where h+ and w+ are the h- and w- units."""
+    aliases = ALIAS_PATTERNS[pattern]
+    units = {d: make_unit(3, cin, ch, rng, grad=True) for d in DIRECTIONS if d not in aliases}
+    units.update((d, units[src]) for d, src in aliases.items())
+    return {d: units[d] for d in DIRECTIONS}
 
 
 def run_with_grads(scan, units, x, weights, recording=True):
@@ -228,10 +241,18 @@ class TestFusedLayer:
         for got, want in zip(fused_grads, ref_grads):
             assert rel_err(got, want) <= 1e-12
 
-    @pytest.mark.parametrize("shape", CUBOIDS)
-    def test_aliased_layer_matches_composed_oracle(self, shape):
+    @pytest.mark.parametrize(
+        "pattern, shape",
+        [
+            # DWS, the model's own pattern, is the case without a prefix
+            pytest.param(p, shape, id=f"shape{i}" if p == "dws" else f"{p}-shape{i}")
+            for p in ALIAS_PATTERNS
+            for i, shape in enumerate(CUBOIDS)
+        ],
+    )
+    def test_aliased_layer_matches_composed_oracle(self, pattern, shape):
         rng = np.random.default_rng(31)
-        units = aliased_units(rng, 2, 3)
+        units = aliased_units(rng, 2, 3, pattern)
         x = Tensor(rng.uniform(size=shape), requires_grad=True)
         weights = rng.uniform(-1, 1, size=shape[:-1] + (15,))
         fused, fused_grads = run_with_grads(pmd_layer, units, x, weights)
