@@ -18,7 +18,7 @@ bit. Shapes render at intensity 1 on a zero background; overlaps stay 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,18 +78,6 @@ class ShapeSceneParams:
         if any(s < 0 for s in self.speeds):
             raise GeometryError("speeds must be >= 0")
 
-    def to_dict(self):
-        return {
-            "n_sequences": self.n_sequences, "n_shapes": self.n_shapes,
-            "kinds": list(self.kinds), "sizes": list(self.sizes),
-            "speeds": list(self.speeds), "H": self.H, "W": self.W,
-            "T": self.T, "C": self.C, "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class MovingShape:
@@ -104,7 +92,6 @@ class MovingShape:
 @dataclass
 class Dataset:
     data: np.ndarray  # [N, T, H, W, C] float64 in [0, 1]
-    meta: dict = field(default_factory=dict)
 
     @property
     def shape(self):
@@ -172,7 +159,7 @@ def generate_bouncing_shapes(params: ShapeSceneParams) -> Dataset:
         rng = SplitMix64(child)
         shapes = [_draw_shape(rng, params) for _ in range(params.n_shapes)]
         data[n] = render_sequence(shapes, params.H, params.W, params.T, params.C)
-    return Dataset(data, meta={"generator": "bouncing_shapes", **params.to_dict()})
+    return Dataset(data)
 
 
 def window(dataset: Dataset, input_len: int):
@@ -232,4 +219,4 @@ def load_dataset(path: str) -> Dataset:
     if not reader.done():
         raise FormatError("trailing bytes after frame data")
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
-    return Dataset(data, meta={"path": path})
+    return Dataset(data)

@@ -1,11 +1,8 @@
 """Training objective (Lp + spatial gradient-difference), Adam with a
 stepped learning-rate decay, and the fan-balanced uniform initializer.
 
-Loss conventions: both terms are plain sums over elements (no per-pixel
-normalization by default; see ``normalize``). The gradient-difference term
-applies an outer absolute value around each difference-of-differences so
-the loss is nonnegative; the raw printed form without it, which can go
-negative, is available via ``outer_abs=False`` for comparison.
+Loss conventions: both terms are plain sums over elements, with no
+per-pixel normalization.
 """
 
 from __future__ import annotations
@@ -26,8 +23,6 @@ class LossSpec:
     p: int = 1
     weight_p: float = 1.0
     weight_gdl: float | None = None
-    outer_abs: bool = True
-    normalize: bool = False
 
     def __post_init__(self):
         if self.p not in (1, 2):
@@ -36,19 +31,6 @@ class LossSpec:
             self.weight_gdl = 1.0 if self.p == 1 else 0.0
         if self.weight_p < 0 or self.weight_gdl < 0:
             raise ValueError("loss weights must be nonnegative")
-
-    def to_dict(self):
-        return {
-            "p": self.p,
-            "weight_p": self.weight_p,
-            "weight_gdl": self.weight_gdl,
-            "outer_abs": self.outer_abs,
-            "normalize": self.normalize,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def _check_frames(y: Tensor, pred: Tensor):
@@ -67,9 +49,13 @@ def lp_loss(tape: Tape, y: Tensor, pred: Tensor, p: int) -> Tensor:
     raise ValueError(f"p must be 1 or 2, got {p}")
 
 
-def gdl_loss(tape: Tape, y: Tensor, pred: Tensor, outer_abs: bool = True) -> Tensor:
+def gdl_loss(tape: Tape, y: Tensor, pred: Tensor) -> Tensor:
     """Mismatch between the spatial finite differences of target and
     prediction, summed over rows, columns and channels.
+
+    Each difference of absolute differences gets an outer absolute value:
+    the printed form without it can go negative, which would reward a
+    prediction sharper than its target.
 
     Frames are [H, W, C] or batched [N, H, W, C]; H and W must be >= 2.
     """
@@ -88,8 +74,7 @@ def gdl_loss(tape: Tape, y: Tensor, pred: Tensor, outer_abs: bool = True) -> Ten
         lo = lambda t: tape.slice_axis(t, axis, 0, n - 1)
         dy = tape.absolute(tape.sub(hi(y), lo(y)))
         dp = tape.absolute(tape.sub(hi(pred), lo(pred)))
-        gap = tape.sub(dy, dp)
-        return tape.sum(tape.absolute(gap) if outer_abs else gap)
+        return tape.sum(tape.absolute(tape.sub(dy, dp)))
 
     return tape.add(axis_term(h_ax), axis_term(w_ax))
 
@@ -97,16 +82,11 @@ def gdl_loss(tape: Tape, y: Tensor, pred: Tensor, outer_abs: bool = True) -> Ten
 def combined_loss(tape: Tape, y: Tensor, pred: Tensor, spec: LossSpec) -> Tensor:
     """weight_p * Lp + weight_gdl * GDL, differentiable through the tape.
 
-    Subgradients at absolute-value kinks are 0. With ``normalize`` the
-    total is divided by the element count of the target frame.
+    Subgradients at absolute-value kinks are 0.
     """
     total = tape.scale(lp_loss(tape, y, pred, spec.p), spec.weight_p)
     if spec.weight_gdl != 0.0:
-        total = tape.add(
-            total, tape.scale(gdl_loss(tape, y, pred, spec.outer_abs), spec.weight_gdl)
-        )
-    if spec.normalize:
-        total = tape.scale(total, 1.0 / y.data.size)
+        total = tape.add(total, tape.scale(gdl_loss(tape, y, pred), spec.weight_gdl))
     return total
 
 

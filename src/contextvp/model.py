@@ -2,7 +2,8 @@
 prediction entry points, parameter accounting and serialization.
 
 Layer wiring follows the four-layer reference architecture: each layer
-runs its directional scans over the incoming cuboid and blends them; where
+runs its directional scans over the incoming cuboid and blends them with
+a pointwise linear projection; where
 a skip pair (src, dst) is configured, the output cuboid of layer `dst` is
 concatenated with that of layer `src` along channels before feeding
 whatever consumes it (the next layer, or the output head after the last
@@ -45,10 +46,10 @@ from contextvp.pmd import (
 )
 from contextvp.prng import SplitMix64
 from contextvp.serial import NameCollisionError, Reader, Writer, atomic_write
-from contextvp.tensor import ACTIVATIONS, Tensor, Tape, ShapeError
+from contextvp.tensor import Tensor, Tape, ShapeError
 
 MODEL_MAGIC = b"CVPM"
-MODEL_VERSION = 2
+MODEL_VERSION = 3  # bumped whenever the spec JSON keys or the tensor layout change
 
 KINDS = ("contextvp", "convlstm_baseline")
 
@@ -61,8 +62,6 @@ class ModelSpec:
     blend_mode: str = "weighted"
     dws: bool = True
     skip_pairs: list | None = None
-    blend_activation: str = "identity"
-    blend_layer_norm: bool = False
     in_channels: int = 1
 
     def __post_init__(self):
@@ -78,9 +77,8 @@ class ModelSpec:
     def validate(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind {self.kind!r} not in {KINDS}")
-        for name in ("dws", "blend_layer_norm"):
-            if not isinstance(getattr(self, name), bool):
-                raise TypeError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.dws, bool):
+            raise TypeError(f"dws must be a bool, got {self.dws!r}")
         if not self.layers:
             raise ValueError("model needs at least one layer")
         if any(n1 < 1 or n2 < 1 for n1, n2 in self.layers):
@@ -89,8 +87,6 @@ class ModelSpec:
             raise ValueError(f"kernel size must be odd and >= 1, got {self.kernel}")
         if self.blend_mode not in BLEND_MODES:
             raise ValueError(f"blend_mode {self.blend_mode!r} not in {BLEND_MODES}")
-        if self.blend_activation not in ACTIVATIONS:
-            raise ValueError(f"blend_activation {self.blend_activation!r} unknown")
         if self.in_channels < 1:
             raise ValueError("in_channels must be >= 1")
         n = len(self.layers)
@@ -134,8 +130,6 @@ class ModelSpec:
             "blend_mode": self.blend_mode,
             "dws": self.dws,
             "skip_pairs": [list(p) for p in self.skip_pairs],
-            "blend_activation": self.blend_activation,
-            "blend_layer_norm": self.blend_layer_norm,
             "in_channels": self.in_channels,
         }
 
@@ -181,13 +175,13 @@ def param_shapes(spec: ModelSpec) -> dict:
 
 
 class Layer:
-    def __init__(self, unit_groups: dict, dir_map: dict, blend_block=None):
-        self.unit_groups = unit_groups
-        self.dir_map = dir_map
-        self.blend_block = blend_block
+    """`unit_groups` maps each parameter group to its unit; `units` maps
+    each scanned direction, in DIRECTIONS order, to its group's unit."""
 
-    def unit_for(self, direction: str) -> PMDUnit:
-        return self.unit_groups[self.dir_map[direction]]
+    def __init__(self, unit_groups: dict, units: dict, blend_block=None):
+        self.unit_groups = unit_groups
+        self.units = units
+        self.blend_block = blend_block
 
 
 class Model:
@@ -211,9 +205,8 @@ class Model:
             block = None
             if pre + "blend.weight" in parameters:
                 block = BlendBlock(spec.blend_mode, parameters[pre + "blend.weight"],
-                                   parameters[pre + "blend.bias"], spec.blend_activation,
-                                   spec.blend_layer_norm)
-            self.layers.append(Layer(units, groups, block))
+                                   parameters[pre + "blend.bias"])
+            self.layers.append(Layer(units, {d: units[g] for d, g in groups.items()}, block))
         self.head_weight = parameters["head.weight"]
         self.head_bias = parameters["head.bias"]
 
@@ -266,7 +259,7 @@ def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
     outs = []
     cur = x
     for idx, layer in enumerate(model.layers, start=1):
-        out = pmd_layer(tape, {d: layer.unit_for(d) for d in layer.dir_map}, cur)
+        out = pmd_layer(tape, layer.units, cur)
         if layer.blend_block is not None:
             out = blend(tape, out, layer.blend_block)
         outs.append(out)
@@ -294,11 +287,13 @@ def forward_predict(model: Model, frames: np.ndarray) -> np.ndarray:
 
 
 def predict_recursive(model: Model, frames: np.ndarray, p: int) -> np.ndarray:
-    """Predict p frames by sliding the fixed-length input window over its
-    own predictions. Returns [p, H, W, C]."""
+    """Predict p frames by sliding the fixed-length [T, H, W, C] input
+    window over its own predictions. Returns [p, H, W, C]."""
     if p < 1:
         raise ValueError("p must be >= 1")
     window = np.asarray(frames, dtype=np.float64)
+    if window.ndim != 4:
+        raise ShapeError(f"window must be one [T, H, W, C] cuboid, got rank {window.ndim}")
     preds = []
     for _ in range(p):
         nxt = forward_predict(model, window)

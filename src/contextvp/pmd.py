@@ -138,15 +138,13 @@ class BlendBlock:
     """Pointwise combiner of the five directional state cuboids.
 
     weight is [N1, N2] in uniform mode and [5*N1, N2] in weighted mode;
-    bias is [N2]. `activation` defaults to identity; `layer_norm`
-    normalizes the pre-activation over channels and is off by default.
+    bias is [N2]. The combination is linear: no activation or
+    normalization follows the projection.
     """
 
     mode: str
     weight: Tensor
     bias: Tensor
-    activation: str = "identity"
-    layer_norm: bool = False
 
     def __post_init__(self):
         if self.mode not in BLEND_MODES:
@@ -437,8 +435,5 @@ def blend(tape: Tape, states: Tensor, block: BlendBlock) -> Tensor:
             f"{block.mode} blend weight gives {weight.shape[0]} rows, states have "
             f"{states.data.shape[-1]} channels"
         )
-    out = _pointwise_project(tape, states, weight, block.bias)
-    if block.layer_norm:
-        out = tape.layer_norm(out)
-    return tape.activation(out, block.activation)
+    return _pointwise_project(tape, states, weight, block.bias)
 

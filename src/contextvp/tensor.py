@@ -14,8 +14,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_RANK = 5
 
-ACTIVATIONS = ("sigmoid", "tanh", "identity", "relu")
-
 
 class ShapeError(ValueError):
     pass
@@ -193,20 +191,10 @@ class Tape:
         y = np.tanh(a.data)
         return self.record("tanh", (a,), y, lambda g: (g * (1.0 - y * y),))
 
+    # unused by the model; the benchmark tracer patches it by name
     def relu(self, a: Tensor) -> Tensor:
         mask = a.data > 0
         return self.record("relu", (a,), a.data * mask, lambda g: (g * mask,))
-
-    def activation(self, a: Tensor, kind: str) -> Tensor:
-        if kind == "identity":
-            return a
-        if kind == "sigmoid":
-            return self.sigmoid(a)
-        if kind == "tanh":
-            return self.tanh(a)
-        if kind == "relu":
-            return self.relu(a)
-        raise ValueError(f"unknown activation kind {kind!r}, expected one of {ACTIVATIONS}")
 
     # -- reductions and structure -----------------------------------------
 
@@ -256,6 +244,7 @@ class Tape:
 
         return self.record("index", (a,), out, backward)
 
+    # unused by the model; the benchmark tracer patches it by name
     def stack(self, tensors, axis: int) -> Tensor:
         tensors = tuple(tensors)
         if not tensors:
@@ -296,6 +285,7 @@ class Tape:
         out = a.data.reshape(shape)
         return self.record("reshape", (a,), out, lambda g: (g.reshape(old),))
 
+    # unused by the model; the benchmark tracer patches it by name
     def layer_norm(self, a: Tensor, eps: float = 1e-5) -> Tensor:
         """Normalize over the last axis (no learned affine)."""
         x = a.data

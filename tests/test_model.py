@@ -16,7 +16,7 @@ from contextvp.loss_optim import (
     xavier_conv_kernel,
 )
 from contextvp.prng import SplitMix64
-from contextvp.tensor import Tensor, Tape, finite_diff_check
+from contextvp.tensor import Tensor, Tape, ShapeError, finite_diff_check
 from contextvp.pmd import DIRECTIONS, GATES
 from contextvp.model import (
     MODEL_MAGIC,
@@ -79,8 +79,6 @@ class TestBuild:
         with pytest.raises(TypeError):
             ModelSpec(layers=[(2, 2)], dws="no")
         with pytest.raises(TypeError):
-            ModelSpec(layers=[(2, 2)], blend_layer_norm=1)
-        with pytest.raises(TypeError):
             ModelSpec(layers=[(8.7, 8)])
         with pytest.raises(TypeError):
             ModelSpec(layers=[(2, 2), (2, 2)], skip_pairs=[(1.5, 1)])
@@ -89,7 +87,7 @@ class TestBuild:
         # three tensors per unit; each gate's kernel is its own Xavier draw,
         # taken in gate order with kx gates before ks gates
         spec = ModelSpec.convlstm_baseline(width=3, n_layers=1)
-        unit = build(spec, 5).layers[0].unit_for("t-")
+        unit = build(spec, 5).layers[0].units["t-"]
         rng = SplitMix64(5)
         for stacked, fan_in in ((unit.kx, 1), (unit.ks, 3)):
             for part in np.split(stacked.data, len(GATES), axis=3):
@@ -123,7 +121,7 @@ class TestForward:
         tape = Tape()
         layer = model.layers[0]
         plane = Tensor(frames[0])  # identical [1,1,C] plane for every direction
-        states = [pmd_step(tape, layer.unit_for(d), plane)[1] for d in DIRECTIONS]
+        states = [pmd_step(tape, layer.units[d], plane)[1] for d in DIRECTIONS]
         vec = np.concatenate([s.data[0, 0] for s in states])
         blended = vec @ layer.blend_block.weight.data + layer.blend_block.bias.data
         logits = blended @ model.head_weight.data + model.head_bias.data
@@ -291,6 +289,18 @@ class TestRecursive:
         with pytest.raises(ValueError):
             predict_recursive(build(tiny_spec(), 0), np.zeros((2, 4, 4, 1)), 0)
 
+    @pytest.mark.parametrize("shape", [(1, 3, 4, 4, 1), (4, 4, 1)], ids=["batched", "one-frame"])
+    def test_window_rank_checked_before_any_forward(self, shape, monkeypatch):
+        # forward_predict takes a batch, but the window slide cannot
+        model = build(tiny_spec(), 0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward_predict called")
+
+        monkeypatch.setattr(model_module, "forward_predict", refuse)
+        with pytest.raises(ShapeError, match=rf"\[T, H, W, C\] cuboid, got rank {len(shape)}"):
+            predict_recursive(model, np.zeros(shape), 2)
+
 
 class TestCounting:
     def test_single_time_unit_closed_form(self):
@@ -386,9 +396,9 @@ class TestSerialization:
         assert len(model_bytes(build(tied, 0))) < len(model_bytes(build(untied, 0)))
 
     @pytest.mark.parametrize("spec, digest", [
-        (ModelSpec(), "ab1551cf255dc193377aae6db212f78b400514a6f1cbde8fcd858cf0eb68e691"),
+        (ModelSpec(), "6662ed7441bbf1042d8214b5468eee2614cb6ef86856f47a8bb4ba639a82b75e"),
         (ModelSpec.convlstm_baseline(width=10),
-         "f76f6e0823f0cb63ba00713115a1c72582f4e3fb7639589a0f35b24d81b0661e"),
+         "abef9b66b29e152cfb9eea7b36567baccdb5687b7b4624343f3afb0dc961aa95"),
     ], ids=["default", "baseline-width-10"])
     def test_parameter_bytes_pinned(self, spec, digest):
         # any change to the draw order, the names or the file layout moves
@@ -433,12 +443,13 @@ class TestSerialization:
         assert model_bytes(loaded) == model_bytes(model)
         assert model_bytes(loaded) != path.read_bytes()
 
-    def test_version_1_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_file_rejected(self, tmp_path, version):
         blob = bytearray(model_bytes(build(tiny_spec(), 0)))
-        blob[4:8] = (1).to_bytes(4, "little")
-        path = tmp_path / "v1.cvpm"
+        blob[4:8] = version.to_bytes(4, "little")
+        path = tmp_path / "old.cvpm"
         path.write_bytes(bytes(blob))
-        with pytest.raises(serial.FormatError, match="version 1"):
+        with pytest.raises(serial.FormatError, match=f"version {version}"):
             load_model(str(path))
 
 

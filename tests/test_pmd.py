@@ -444,7 +444,7 @@ class TestDirectionalWeightSharing:
 
     def test_three_unique_parameter_sets(self):
         layer = build(ModelSpec(layers=[(2, 2)], dws=True), 19).layers[0]
-        units = {d: layer.unit_for(d) for d in DIRECTIONS}
+        units = layer.units
         assert units["h+"] is units["h-"] and units["w+"] is units["w-"]
         unique = {id(t) for u in units.values() for _, t in u.fields()}
         assert len(unique) == 3 * len(units["t-"].fields())

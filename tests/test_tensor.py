@@ -73,7 +73,7 @@ class TestConv2d:
 
 class TestActivations:
     def test_sigmoid_at_zero(self):
-        out = Tape().activation(Tensor(np.zeros(3)), "sigmoid")
+        out = Tape().sigmoid(Tensor(np.zeros(3)))
         np.testing.assert_array_equal(out.data, 0.5)
 
     def test_sigmoid_saturates_without_overflow_warning(self):
@@ -83,16 +83,8 @@ class TestActivations:
         assert y.data.tolist() == [0.0, 1.0]
 
     def test_tanh_at_zero(self):
-        out = Tape().activation(Tensor(np.zeros(3)), "tanh")
+        out = Tape().tanh(Tensor(np.zeros(3)))
         np.testing.assert_array_equal(out.data, 0.0)
-
-    def test_identity_passthrough(self):
-        v = Tensor(rand((2, 3), 0))
-        assert Tape().activation(v, "identity") is v
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="activation"):
-            Tape().activation(Tensor([1.0]), "softplus")
 
 
 class TestElementwise:
