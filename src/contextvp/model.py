@@ -8,8 +8,9 @@ a skip pair (src, dst) is configured, the output cuboid of layer `dst` is
 concatenated with that of layer `src` along channels before feeding
 whatever consumes it (the next layer, or the output head after the last
 layer). The head takes the t = T slice of the final carry, projects it to
-the frame's channel count with a 1x1 convolution and applies a sigmoid,
-so predictions always land in (0, 1).
+the frame's channel count with the blend's pointwise projection
+(`pmd.pointwise`, a 1x1 convolution) and applies a sigmoid, so
+predictions always land in (0, 1).
 
 `param_shapes(spec)` is the parameter table: every tensor's name and
 shape, in draw order, which is also file order. Layers come in ascending
@@ -43,6 +44,7 @@ from contextvp.pmd import (
     blend,
     pmd_layer,
     pmd_scan,  # not called here; the benchmark tracer patches it by name
+    pointwise,
 )
 from contextvp.prng import SplitMix64
 from contextvp.serial import NameCollisionError, Reader, Writer, atomic_write
@@ -270,10 +272,7 @@ def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
         cur = carry
 
     last_plane = tape.index(cur, t_axis, t_len - 1)
-    n_in, n_out = model.head_weight.shape
-    kernel = tape.reshape(model.head_weight, (1, 1, n_in, n_out))
-    logits = tape.conv2d(last_plane, kernel, model.head_bias)
-    return tape.sigmoid(logits)
+    return tape.sigmoid(pointwise(tape, last_plane, model.head_weight, model.head_bias))
 
 
 def forward_predict(model: Model, frames: np.ndarray) -> np.ndarray:
@@ -303,11 +302,6 @@ def predict_recursive(model: Model, frames: np.ndarray, p: int) -> np.ndarray:
 
 
 # -- accounting ----------------------------------------------------------------
-
-def count_parameters(model: Model) -> int:
-    """Distinct scalars; tensors shared between directions count once."""
-    return sum(t.size for t in model.parameters.values())
-
 
 def count_from_spec(spec: ModelSpec) -> int:
     """Parameter count computed from shapes alone, without building."""

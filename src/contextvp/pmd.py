@@ -29,22 +29,20 @@ concatenated on the channel axis in DIRECTIONS order; the time-only
 ConvLSTM baseline uses the same node with only t-.
 
 The node groups its directions by (unit object, scan axis): under DWS,
-{t-}, {h-, h+} and {w-, w+}; otherwise one direction per group. Both
-directions of a pair see the same planes through the same kx and b, so
-the group's first direction projects each input plane (per-plane im2col,
-matmul, bias) and stores the projection, which its partner reads instead
-of recomputing it. When the tape records, the store is the partner's
-gate-activation buffer, which the partner overwrites plane by plane after
-reading it; otherwise it is one [L, *plane, 4Ch] buffer. Hoisting the
-projection out of the recurrence follows Appleyard et al. 2016
-(arXiv:1604.01946); it pays here only when shared, as a whole-cuboid
-projection is slower than per-plane ones at these shapes. The
-hand-written backward runs BPTT and the state kernel gradient per
-direction, then adds the pair's pre-activation gradients and takes one kx
-gradient, one bias sum and one input gradient per group. A kx or b
-tensor shared within a group therefore gets its gradient once, at its
-first slot among the node's inputs. The input gradients are summed in
-group order; tensors shared across groups get one contribution per group.
+{t-}, {h-, h+} and {w-, w+}; otherwise one direction per group. A
+group's directions read the same planes through the same kx and b, so
+forward and backward alike have one input side per group and one
+recurrence per direction. The forward projects the group's input plane
+by plane (im2col, matmul, bias) into one [L, *plane, 4Ch] buffer, then
+runs each direction's recurrence on it. Hoisting the projection out of
+the recurrence follows Appleyard et al. 2016 (arXiv:1604.01946); it stays
+per plane because a whole-cuboid projection is slower at these shapes.
+The backward runs BPTT and the state kernel gradient per direction, adds
+the group's pre-activation gradients and takes one kx gradient, one bias
+sum and one input gradient from them. A kx or b tensor shared within a
+group therefore gets its gradient once, at its first slot among the
+node's inputs. The input gradients are summed in group order; tensors
+shared across groups get one contribution per group.
 
 The groups are independent given the layer input, so they can run
 concurrently, as in PyraMiD-LSTM (Stollenga et al. 2015,
@@ -58,10 +56,10 @@ Each group's arithmetic does not depend on the thread that runs it, and
 the results are combined in a fixed order, so values and gradients are
 bit-identical with and without the pool.
 
-Blending projects the concatenated states pointwise with a 1x1
-convolution: weighted mode with its [5*N1, N2] weight, uniform mode with
-its [N1, N2] weight tiled five times along rows, which equals summing the
-five directions and projecting.
+Blending projects the concatenated states with `pointwise`, the 1x1
+convolution the model's head also uses: weighted mode with its
+[5*N1, N2] weight, uniform mode with its [N1, N2] weight tiled five times
+along rows, which equals summing the five directions and projecting.
 """
 
 from __future__ import annotations
@@ -163,8 +161,6 @@ class BlendBlock:
 
 
 def _scan_layout(cuboid: Tensor, direction: str):
-    if direction not in _SCAN:
-        raise ValueError(f"direction {direction!r} not in {DIRECTIONS}")
     rank = cuboid.data.ndim
     if rank not in (4, 5):
         raise ShapeError(f"cuboid must be [T,H,W,C] or [N,T,H,W,C], got rank {rank}")
@@ -201,23 +197,17 @@ class _Sweep:
     def planes(self, a: np.ndarray) -> np.ndarray:
         return np.moveaxis(a, self.axis, 0)
 
-    def forward(self, x: np.ndarray, out: np.ndarray, proj=None, store=None) -> None:
-        """Write this direction's states into its channels of `out`.
-
-        Each plane's input projection (patch rows @ kx + b) is computed
-        here, or read from `proj` [L, *plane, 4Ch] when a direction with
-        this unit and axis stored it; with `store`, it is also written
-        there. The float operations are those of Tape.conv2d, sigmoid and
-        tanh; every plane step writes into buffers made once."""
+    def forward(self, proj: np.ndarray, out: np.ndarray) -> None:
+        """Write this direction's states into its channels of `out` from
+        its group's input projection `proj` [L, *plane, 4Ch], adding the
+        state matmul from the second plane in scan order. The float
+        operations are those of Tape.conv2d, sigmoid and tanh; every plane
+        step writes into buffers made once."""
         ch, k = self.ch, self.k
         states = self.planes(out[..., self.span])
         plane = states.shape[1:-1]
         s_rows = PatchRows(states.shape[1:], k, k)
         ks = self.ks.reshape(-1, 4 * ch)
-        if proj is None:
-            xs = self.planes(x)
-            x_rows = PatchRows(xs.shape[1:], k, k)
-            kx = self.kx.reshape(-1, 4 * ch)
         pre = np.empty(plane + (4 * ch,))
         s_pre = np.empty(pre.shape)
         # exp and tanh run on these contiguous buffers: a strided operand
@@ -229,16 +219,10 @@ class _Sweep:
         c = None if self.cells is not None else np.empty(plane + (ch,))
         prev = None
         for i in self.order:
-            if proj is not None:
-                xp = proj[i]
-            else:
-                xp = pre if store is None else store[i]
-                np.matmul(x_rows(xs[i]), kx, out=xp.reshape(-1, 4 * ch))
-                np.add(xp, self.b, out=xp)
-            p = xp
+            p = proj[i]
             if prev is not None:
                 np.matmul(s_rows(states[prev]), ks, out=s_pre.reshape(-1, 4 * ch))
-                p = np.add(xp, s_pre, out=pre)
+                p = np.add(p, s_pre, out=pre)
             with np.errstate(over="ignore"):  # exp(710+) = inf gives exactly 0
                 np.negative(p[..., :3 * ch], out=gates)
                 np.exp(gates, out=gates)
@@ -305,18 +289,21 @@ class _Sweep:
 
 
 def _group_forward(group: list, x: np.ndarray, out: np.ndarray) -> None:
-    """Run a direction group's sweeps. The first projects the input and
-    stores the projection for its partner, if it has one: into the
-    partner's `acts`, which its step overwrites plane by plane after reading
-    them, or else into one buffer of the partner's projection shape."""
-    first, *rest = group
-    if not rest:
-        first.forward(x, out)
-        return
-    (partner,) = rest
-    store = partner.acts if partner.acts is not None else np.empty(partner.proj_shape)
-    first.forward(x, out, store=store)
-    partner.forward(x, out, proj=store)
+    """A direction group's input side, then one recurrence per direction.
+    The projection goes into the last direction's `acts` when they are
+    kept, as that direction overwrites each plane after reading it, and
+    into one fresh buffer otherwise."""
+    first, last = group[0], group[-1]
+    proj = last.acts if last.acts is not None else np.empty(last.proj_shape)
+    xs = first.planes(x)
+    rows = PatchRows(xs.shape[1:], first.k, first.k)
+    stacked = proj.shape[-1]
+    kx = first.kx.reshape(-1, stacked)
+    for plane, p in zip(xs, proj):
+        np.matmul(rows(plane), kx, out=p.reshape(-1, stacked))
+        np.add(p, first.b, out=p)
+    for sw in group:
+        sw.forward(proj, out)
 
 
 def _group_backward(group: list, x: np.ndarray, out: np.ndarray, g: np.ndarray, need_x: bool):
@@ -402,21 +389,13 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
 def pmd_scan(tape: Tape, unit: PMDUnit, cuboid: Tensor, direction: str) -> Tensor:
     """Run the unit over every plane of the cuboid along `direction`: a
     one-direction `pmd_layer`. Returns [T, H, W, Ch] (or [N, T, H, W, Ch])."""
-    if direction not in _SCAN:
-        raise ValueError(f"direction {direction!r} not in {DIRECTIONS}")
     return pmd_layer(tape, {direction: unit}, cuboid)
 
 
-def _pointwise_project(tape: Tape, cuboid: Tensor, weight: Tensor, bias: Tensor):
-    """1x1 convolution over the channel axis of a [T,H,W,C]-like cuboid."""
-    n1, n2 = weight.shape
-    kernel = tape.reshape(weight, (1, 1, n1, n2))
-    if cuboid.data.ndim == 5:
-        n, t = cuboid.data.shape[:2]
-        flat = tape.reshape(cuboid, (n * t,) + cuboid.data.shape[2:])
-        out = tape.conv2d(flat, kernel, bias)
-        return tape.reshape(out, (n, t) + out.data.shape[1:])
-    return tape.conv2d(cuboid, kernel, bias)
+def pointwise(tape: Tape, x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """1x1 convolution of x [..., A, B, N1] over its channel axis, with
+    weight [N1, N2] and bias [N2]."""
+    return tape.conv2d(x, tape.reshape(weight, (1, 1) + weight.shape), bias)
 
 
 def blend(tape: Tape, states: Tensor, block: BlendBlock) -> Tensor:
@@ -435,5 +414,5 @@ def blend(tape: Tape, states: Tensor, block: BlendBlock) -> Tensor:
             f"{block.mode} blend weight gives {weight.shape[0]} rows, states have "
             f"{states.data.shape[-1]} channels"
         )
-    return _pointwise_project(tape, states, weight, block.bias)
+    return pointwise(tape, states, weight, block.bias)
 

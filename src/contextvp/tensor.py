@@ -306,8 +306,9 @@ class Tape:
     def conv2d(self, x: Tensor, kernel: Tensor, bias: Tensor | None = None) -> Tensor:
         """Same-padded, stride-1 cross-correlation over the two inner axes.
 
-        x: [A, B, Cin] or batched [N, A, B, Cin]; kernel: [kh, kw, Cin, Cout];
-        bias: [Cout] or None. Out-of-range input is treated as zero.
+        x: [..., A, B, Cin], any leading axes convolved independently;
+        kernel: [kh, kw, Cin, Cout]; bias: [Cout] or None. Out-of-range
+        input is treated as zero.
         """
         kd = kernel.data
         if kd.ndim != 4:
@@ -316,8 +317,8 @@ class Tape:
         if kh % 2 == 0 or kw % 2 == 0:
             raise ShapeError(f"conv2d: kernel extents must be odd, got {kh}x{kw}")
         xd = x.data
-        if xd.ndim not in (3, 4):
-            raise ShapeError(f"conv2d: input must have rank 3 or 4, got {xd.ndim}")
+        if xd.ndim < 3:
+            raise ShapeError(f"conv2d: input must have rank 3 or more, got {xd.ndim}")
         if xd.shape[-1] != cin:
             raise ShapeError(
                 f"conv2d: input channels (last axis) = {xd.shape[-1]} "

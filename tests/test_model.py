@@ -26,7 +26,6 @@ from contextvp.model import (
     baseline_width_for,
     build,
     count_from_spec,
-    count_parameters,
     forward_cuboid,
     forward_predict,
     load_model,
@@ -220,7 +219,9 @@ class TestTraining:
         tape = Tape()
         pred = forward_cuboid(tape, model, Tensor(rng.uniform(size=(4, 10, 16, 16, 1))))
         combined_loss(tape, Tensor(rng.uniform(size=(4, 16, 16, 1))), pred, LossSpec())
-        assert len(tape.nodes) <= 50
+        # a scan node and a blend (weight reshape, conv2d) per layer, two skip
+        # concats, the head (index, reshape, conv2d, sigmoid), 21 loss nodes
+        assert len(tape.nodes) <= 39
         # the cuboid, then kx, ks and b for each of the five directions
         layer_nodes = [n for n in tape.nodes if n.kind == "pmd_layer"]
         assert [len(n.inputs) for n in layer_nodes] == [1 + 5 * 3] * 4
@@ -321,20 +322,19 @@ class TestCounting:
             ModelSpec(layers=[(2, 2)] * 4, in_channels=3),
         ):
             model = build(spec, 0)
-            assert count_parameters(model) == count_from_spec(spec)
             assert [(name, t.shape) for name, t in model.parameters.items()] == \
                 list(param_shapes(spec).items())
 
     def test_sharing_accounting(self):
         untied_spec = ModelSpec(layers=[(3, 3), (4, 4)], dws=False)
         tied_spec = ModelSpec(layers=[(3, 3), (4, 4)], dws=True)
-        untied, tied = build(untied_spec, 0), build(tied_spec, 0)
+        untied = build(untied_spec, 0)
         removed = sum(
             t.size
             for name, t in untied.parameters.items()
             if name.split(".")[1] in ("h+", "w+")
         )
-        assert count_parameters(tied) == count_parameters(untied) - removed
+        assert count_from_spec(tied_spec) == count_from_spec(untied_spec) - removed
 
     def test_weighted_blend_extra_scalars(self):
         uniform = ModelSpec(layers=[(4, 6)], blend_mode="uniform", dws=False)

@@ -314,10 +314,17 @@ class TestFusedLayer:
         np.testing.assert_array_equal(got, ref)
         assert np.all(np.isfinite(got))
 
-    def test_unknown_direction_rejected(self):
-        units = {"t+": zero_unit(3, 1, 2)}
+    @pytest.mark.parametrize("scan", [
+        lambda unit, x, d: pmd_layer(Tape(), {d: unit}, x),
+        lambda unit, x, d: pmd_scan(Tape(), unit, x, d),
+    ], ids=["pmd_layer", "pmd_scan"])
+    def test_unknown_direction_rejected(self, scan):
         with pytest.raises(ValueError, match="t\\+"):
-            pmd_layer(Tape(), units, Tensor(np.zeros((2, 3, 3, 1))))
+            scan(zero_unit(3, 1, 2), Tensor(np.zeros((2, 3, 3, 1))), "t+")
+
+    def test_cuboid_rank_checked(self):
+        with pytest.raises(ShapeError, match="rank 3"):
+            pmd_layer(Tape(), {"t-": zero_unit(3, 1, 2)}, Tensor(np.zeros((3, 3, 1))))
 
 
 def make_states(rng, shape=(2, 3, 3, 4)):

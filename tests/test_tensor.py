@@ -60,6 +60,21 @@ class TestConv2d:
             single = Tape().conv2d(Tensor(x[n]), Tensor(k), Tensor(b))
             np.testing.assert_allclose(batched.data[n], single.data, atol=1e-12)
 
+        # two leading axes convolve as one: [N, T, A, B, C] as [N*T, A, B, C],
+        # values and gradients bit for bit
+        x5, g5 = rand((2, 3, 5, 6, 2), 6), rand((2, 3, 5, 6, 3), 7)
+
+        def run(x_data, g_data):
+            tape = Tape()
+            params = [Tensor(a, requires_grad=True) for a in (x_data, k, b)]
+            out = tape.conv2d(*params)
+            tape.backward(tape.sum(tape.mul(out, Tensor(g_data))))
+            return [out.data] + [p.grad for p in params]
+
+        flat = run(x5.reshape(6, 5, 6, 2), g5.reshape(6, 5, 6, 3))
+        for got, want in zip(run(x5, g5), flat):
+            np.testing.assert_array_equal(got.reshape(want.shape), want)
+
     def test_channel_mismatch_names_axis(self):
         x = Tensor(np.zeros((4, 4, 3)))
         k = Tensor(np.zeros((3, 3, 2, 1)))
