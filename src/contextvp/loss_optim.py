@@ -57,15 +57,12 @@ def gdl_loss(tape: Tape, y: Tensor, pred: Tensor) -> Tensor:
     the printed form without it can go negative, which would reward a
     prediction sharper than its target.
 
-    Frames are [H, W, C] or batched [N, H, W, C]; H and W must be >= 2.
+    Frames are batched [N, H, W, C], the only layout; H and W must be >= 2.
     """
     _check_frames(y, pred)
-    rank = y.data.ndim
-    if rank not in (3, 4):
-        raise ShapeError(f"frames must have rank 3 or 4, got {rank}")
-    h_ax = rank - 3
-    w_ax = rank - 2
-    if y.data.shape[h_ax] < 2 or y.data.shape[w_ax] < 2:
+    if y.data.ndim != 4:
+        raise ShapeError(f"frames must be [N, H, W, C], got rank {y.data.ndim}")
+    if y.data.shape[1] < 2 or y.data.shape[2] < 2:
         raise ShapeError("gradient-difference loss needs H, W >= 2")
 
     def axis_term(axis):
@@ -76,7 +73,7 @@ def gdl_loss(tape: Tape, y: Tensor, pred: Tensor) -> Tensor:
         dp = tape.absolute(tape.sub(hi(pred), lo(pred)))
         return tape.sum(tape.absolute(tape.sub(dy, dp)))
 
-    return tape.add(axis_term(h_ax), axis_term(w_ax))
+    return tape.add(axis_term(1), axis_term(2))
 
 
 def combined_loss(tape: Tape, y: Tensor, pred: Tensor, spec: LossSpec) -> Tensor:
@@ -130,15 +127,19 @@ def adam_step(state: AdamState, params: dict) -> None:
     """One bias-corrected update, in parameter-map order, in place.
 
     Parameters with no gradient (``grad is None``) are left untouched but
-    their moments still decay, matching a zero gradient.
+    their moments still decay, matching a zero gradient. Every gradient is
+    checked before anything changes: a non-finite one raises
+    FloatingPointError and leaves the step count, the moments and the
+    parameters as they were.
     """
+    for name, p in params.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     b1c = 1.0 - state.beta1 ** state.step
     b2c = 1.0 - state.beta2 ** state.step
     for name, p in params.items():
         g = p.grad
-        if g is not None and not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         m = state.m[name]
         v = state.v[name]
         m *= state.beta1

@@ -99,31 +99,6 @@ class ModelSpec:
                     "(need 1 <= src < dst <= layers)"
                 )
 
-    # wiring ------------------------------------------------------------
-
-    def layer_out_channels(self):
-        if self.kind == "contextvp":
-            return [n2 for _, n2 in self.layers]
-        return [n1 for n1, _ in self.layers]
-
-    def carry_channels(self):
-        """Channels of what each layer passes on, after skip concatenation."""
-        out = self.layer_out_channels()
-        carry = []
-        for layer in range(1, len(self.layers) + 1):
-            ch = out[layer - 1]
-            for src, dst in self.skip_pairs:
-                if dst == layer:
-                    ch += out[src - 1]
-            carry.append(ch)
-        return carry
-
-    def layer_in_channels(self):
-        return [self.in_channels] + self.carry_channels()[:-1]
-
-    def head_in_channels(self):
-        return self.carry_channels()[-1]
-
     def to_dict(self):
         return {
             "kind": self.kind,
@@ -157,12 +132,18 @@ def direction_groups(spec: ModelSpec) -> dict:
 
 
 def param_shapes(spec: ModelSpec) -> dict:
-    """Name -> shape of every parameter tensor, in draw and file order."""
+    """Name -> shape of every parameter tensor, in draw and file order.
+
+    A layer's input channels are what the layer before it passes on: its
+    output channels (n2 for ContextVP, n1 for the baseline) plus those of
+    every skip source concatenated onto it."""
     spec.validate()
     k = spec.kernel
     groups = dict.fromkeys(direction_groups(spec).values())
     shapes = {}
-    for idx, (cin, (n1, n2)) in enumerate(zip(spec.layer_in_channels(), spec.layers), start=1):
+    cin = spec.in_channels
+    outs = []  # each layer's output channels, before skip concatenation
+    for idx, (n1, n2) in enumerate(spec.layers, start=1):
         for group in groups:
             shapes[f"layer{idx}.{group}.kx"] = (k, k, cin, len(GATES) * n1)
             shapes[f"layer{idx}.{group}.ks"] = (k, k, n1, len(GATES) * n1)
@@ -171,7 +152,9 @@ def param_shapes(spec: ModelSpec) -> dict:
             rows = n1 if spec.blend_mode == "uniform" else len(DIRECTIONS) * n1
             shapes[f"layer{idx}.blend.weight"] = (rows, n2)
             shapes[f"layer{idx}.blend.bias"] = (n2,)
-    shapes["head.weight"] = (spec.head_in_channels(), spec.in_channels)
+        outs.append(n2 if spec.kind == "contextvp" else n1)
+        cin = outs[-1] + sum(outs[src - 1] for src, dst in spec.skip_pairs if dst == idx)
+    shapes["head.weight"] = (cin, spec.in_channels)
     shapes["head.bias"] = (spec.in_channels,)
     return shapes
 
@@ -242,21 +225,18 @@ def build(spec: ModelSpec, seed: int) -> Model:
 # -- forward -----------------------------------------------------------------
 
 def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
-    """Differentiable forward pass. x: [T, H, W, C] or [N, T, H, W, C];
-    returns the predicted next frame(s) [H, W, C] or [N, H, W, C]."""
+    """Differentiable forward pass. x: [N, T, H, W, C], the only layout;
+    returns the predicted next frames [N, H, W, C]."""
     spec = model.spec
-    rank = x.data.ndim
-    if rank not in (4, 5):
-        raise ShapeError(f"input cuboid must have rank 4 or 5, got {rank}")
-    t_axis = rank - 4
-    t_len = x.data.shape[t_axis]
+    if x.data.ndim != 5:
+        raise ShapeError(f"input must be [N, T, H, W, C], got rank {x.data.ndim}")
+    t_len = x.data.shape[1]
     if t_len < 1:
         raise ShapeError("input needs at least one frame")
     if x.data.shape[-1] != spec.in_channels:
         raise ShapeError(
             f"input has {x.data.shape[-1]} channels, spec expects {spec.in_channels}"
         )
-    chan_axis = rank - 1
 
     outs = []
     cur = x
@@ -268,21 +248,29 @@ def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
         carry = out
         for src, dst in spec.skip_pairs:
             if dst == idx:
-                carry = tape.concat([carry, outs[src - 1]], axis=chan_axis)
+                carry = tape.concat([carry, outs[src - 1]], axis=4)
         cur = carry
 
-    last_plane = tape.index(cur, t_axis, t_len - 1)
+    last_plane = tape.index(cur, 1, t_len - 1)
     return tape.sigmoid(pointwise(tape, last_plane, model.head_weight, model.head_bias))
 
 
+def _one_window(frames) -> np.ndarray:
+    window = np.asarray(frames, dtype=np.float64)
+    if window.ndim != 4:
+        raise ShapeError(f"window must be one [T, H, W, C] cuboid, got rank {window.ndim}")
+    return window
+
+
 def forward_predict(model: Model, frames: np.ndarray) -> np.ndarray:
-    """Predict the next frame for a [T, H, W, C] cuboid of values in [0, 1].
-    Raises ValueError for frames that are not finite or outside [0, 1]."""
-    frames = np.asarray(frames, dtype=np.float64)
+    """Predict the next frame [H, W, C] for one [T, H, W, C] window of
+    values in [0, 1], run as a batch of one. Raises ShapeError for any
+    other rank, then ValueError for frames that are not finite or outside
+    [0, 1]."""
+    frames = _one_window(frames)
     if not np.all((frames >= 0.0) & (frames <= 1.0)):  # false for NaN too
         raise ValueError("frames must be finite values in [0, 1]")
-    out = forward_cuboid(Tape(recording=False), model, Tensor(frames))
-    return out.data
+    return forward_cuboid(Tape(recording=False), model, Tensor(frames[None])).data[0]
 
 
 def predict_recursive(model: Model, frames: np.ndarray, p: int) -> np.ndarray:
@@ -290,9 +278,7 @@ def predict_recursive(model: Model, frames: np.ndarray, p: int) -> np.ndarray:
     window over its own predictions. Returns [p, H, W, C]."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    window = np.asarray(frames, dtype=np.float64)
-    if window.ndim != 4:
-        raise ShapeError(f"window must be one [T, H, W, C] cuboid, got rank {window.ndim}")
+    window = _one_window(frames)
     preds = []
     for _ in range(p):
         nxt = forward_predict(model, window)

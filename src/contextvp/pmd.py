@@ -2,11 +2,11 @@
 context blending.
 
 A scan unit is an LSTM whose gate transforms are same-padded 2-D
-convolutions within a plane. Scanning a [T, H, W, C] cuboid along one of
-five directions (t-, h-, h+, w-, w+) emits a hidden-state cuboid of the
-same spatial-temporal extent; the plane perpendicular to the scan axis is
-what the convolutions see, so spatial scans mix time and the remaining
-spatial axis.
+convolutions within a plane. Cuboids are batched [N, T, H, W, C], the only
+layout the scans take. Scanning one along one of five directions (t-, h-,
+h+, w-, w+) emits a hidden-state cuboid of the same extent; the plane
+perpendicular to the scan axis is what the convolutions see, so spatial
+scans mix time and the remaining spatial axis, and the batch rides along.
 
 A unit stores its four gates stacked on the output-channel axis in GATES
 order (in, forget, out, cell), the layout of Appleyard et al. 2016
@@ -76,13 +76,13 @@ from contextvp.tensor import PatchRows, ShapeError, Tape, Tensor, conv_input_gra
 DIRECTIONS = ("t-", "h-", "h+", "w-", "w+")
 GATES = ("in", "forget", "out", "cell")
 
-# direction -> (cuboid axis scanned, planes visited in decreasing order)
+# direction -> ([N, T, H, W, C] axis scanned, planes visited in decreasing order)
 _SCAN = {
-    "t-": (0, False),
-    "h+": (1, False),
-    "h-": (1, True),
-    "w+": (2, False),
-    "w-": (2, True),
+    "t-": (1, False),
+    "h+": (2, False),
+    "h-": (2, True),
+    "w+": (3, False),
+    "w-": (3, True),
 }
 
 BLEND_MODES = ("uniform", "weighted")
@@ -160,30 +160,21 @@ class BlendBlock:
             )
 
 
-def _scan_layout(cuboid: Tensor, direction: str):
-    rank = cuboid.data.ndim
-    if rank not in (4, 5):
-        raise ShapeError(f"cuboid must be [T,H,W,C] or [N,T,H,W,C], got rank {rank}")
-    axis, reverse = _SCAN[direction]
-    axis += rank - 4  # leading batch axis, if any
-    order = range(cuboid.data.shape[axis])
-    if reverse:
-        order = reversed(order)
-    return axis, reverse, list(order)
-
-
 class _Sweep:
     """One direction's recurrence over a layer input, in plain numpy.
 
-    Arrays shaped like the cuboid are viewed plane-first, [L, *plane, C],
-    with the scanned axis moved to the front; plane i is the cuboid's
-    i-th slice along that axis, whatever the scan order. With `keep`, the
-    gate activations `acts` [L, *plane, 4Ch] and cells [L, *plane, Ch] are
-    stored for backward.
+    Arrays shaped like the cuboid are viewed plane-first, [L, *plane, C]
+    with plane = (N, A, B), the scanned axis moved to the front; plane i
+    is the cuboid's i-th slice along that axis, whatever the scan order.
+    With `keep`, the gate activations `acts` [L, *plane, 4Ch] and cells
+    [L, *plane, Ch] are stored for backward.
     """
 
     def __init__(self, direction: str, unit: PMDUnit, cuboid: Tensor, offset: int, keep: bool):
-        self.axis, self.reverse, self.order = _scan_layout(cuboid, direction)
+        self.axis, self.reverse = _SCAN[direction]
+        self.order = list(range(cuboid.data.shape[self.axis]))
+        if self.reverse:
+            self.order.reverse()
         self.need_params = any(t.requires_grad for _, t in unit.fields())
         self.k = unit.kernel_size
         self.ch = unit.hidden
@@ -340,16 +331,19 @@ def _map(fn, items, parallel: bool) -> list:
 
 
 def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
-    """Scan the cuboid along every direction in `units` (direction ->
-    PMDUnit; aliased units share parameters) as one tape node.
+    """Scan the [N, T, H, W, C] cuboid along every direction in `units`
+    (direction -> PMDUnit; aliased units share parameters) as one tape
+    node. Any other rank raises ShapeError.
 
     States start at zero (no prior). Returns the hidden states at every
     position, concatenated on the channel axis in DIRECTIONS order:
-    [T, H, W, sum of Ch] or [N, T, H, W, sum of Ch].
+    [N, T, H, W, sum of Ch].
     """
     directions = [d for d in DIRECTIONS if d in units]
     if not directions or len(directions) != len(units):
         raise ValueError(f"directions {sorted(units)} not a non-empty subset of {DIRECTIONS}")
+    if cuboid.data.ndim != 5:
+        raise ShapeError(f"cuboid must be [N, T, H, W, C], got rank {cuboid.data.ndim}")
     cin = cuboid.data.shape[-1]
     for d in directions:
         if units[d].in_channels != cin:
@@ -387,8 +381,8 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
 
 
 def pmd_scan(tape: Tape, unit: PMDUnit, cuboid: Tensor, direction: str) -> Tensor:
-    """Run the unit over every plane of the cuboid along `direction`: a
-    one-direction `pmd_layer`. Returns [T, H, W, Ch] (or [N, T, H, W, Ch])."""
+    """Run the unit over every plane of the [N, T, H, W, C] cuboid along
+    `direction`: a one-direction `pmd_layer`. Returns [N, T, H, W, Ch]."""
     return pmd_layer(tape, {direction: unit}, cuboid)
 
 

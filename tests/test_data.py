@@ -130,6 +130,15 @@ class TestDatasetFile:
         with pytest.raises(FormatError, match=message):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 7.0, -0.5])
+    def test_non_finite_or_out_of_range_frames(self, tmp_path, bad):
+        data = np.full((1, 2, 3, 3, 1), 0.25)
+        data[0, 1, 2, 0, 0] = bad
+        path = tmp_path / "d.cvpd"
+        path.write_bytes(dataset_bytes(Dataset(data)))
+        with pytest.raises(FormatError, match=r"\[0, 1\]"):
+            load_dataset(str(path))
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_byte_mutation_fuzz(self, tmp_path_factory, data):

@@ -48,36 +48,41 @@ class TestLpLoss:
 
 class TestGdlLoss:
     def test_equal_frames_zero(self):
-        y = frame(np.random.default_rng(2).uniform(size=(4, 4, 1)))
+        y = frame(np.random.default_rng(2).uniform(size=(1, 4, 4, 1)))
         assert gdl_loss(Tape(), y, y).data.item() == 0.0
 
     def test_constant_shift_invariance(self):
-        y = frame(np.random.default_rng(3).uniform(size=(4, 4, 1)))
+        y = frame(np.random.default_rng(3).uniform(size=(2, 4, 4, 1)))
         shifted = frame(y.data + 0.37)
         assert gdl_loss(Tape(), y, shifted).data.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_evaluated_two_by_two(self):
         # y has unit column steps, prediction is flat: two horizontal
         # difference terms of 1 each, no vertical terms
-        y = frame(np.array([[0.0, 1.0], [0.0, 1.0]])[..., None])
-        pred = frame(np.zeros((2, 2, 1)))
+        y = frame(np.array([[0.0, 1.0], [0.0, 1.0]])[None, ..., None])
+        pred = frame(np.zeros((1, 2, 2, 1)))
         assert gdl_loss(Tape(), y, pred).data.item() == pytest.approx(2.0)
 
     def test_printed_form_can_go_negative(self):
         # the printed form, without the outer absolute value, is negative
         # for this pair; the loss applies the outer absolute value
-        y = frame(np.zeros((2, 2, 1)))
-        pred = frame(np.array([[0.0, 1.0], [0.0, 1.0]])[..., None])
+        y = frame(np.zeros((1, 2, 2, 1)))
+        pred = frame(np.array([[0.0, 1.0], [0.0, 1.0]])[None, ..., None])
         printed = sum(
             np.sum(np.abs(np.diff(y.data, axis=a)) - np.abs(np.diff(pred.data, axis=a)))
-            for a in (0, 1)
+            for a in (1, 2)
         )
         assert printed < 0
         assert gdl_loss(Tape(), y, pred).data.item() > 0
 
     def test_too_small_frame(self):
-        with pytest.raises(ShapeError):
-            gdl_loss(Tape(), frame(np.zeros((1, 4, 1))), frame(np.zeros((1, 4, 1))))
+        with pytest.raises(ShapeError, match="H, W >= 2"):
+            gdl_loss(Tape(), frame(np.zeros((2, 1, 4, 1))), frame(np.zeros((2, 1, 4, 1))))
+
+    def test_unbatched_frames_rejected(self):
+        y = frame(np.zeros((4, 4, 1)))
+        with pytest.raises(ShapeError, match=r"\[N, H, W, C\], got rank 3"):
+            gdl_loss(Tape(), y, y)
 
 
 class TestCombinedLoss:
@@ -92,12 +97,12 @@ class TestCombinedLoss:
         )
 
     def test_p1_identical_frames_zero(self):
-        y = frame(np.random.default_rng(5).uniform(size=(4, 4, 1)))
+        y = frame(np.random.default_rng(5).uniform(size=(1, 4, 4, 1)))
         assert combined_loss(Tape(), y, y, LossSpec(p=1)).data.item() == 0.0
 
     def test_weighted_decomposition(self):
         rng = np.random.default_rng(6)
-        y, p = frame(rng.uniform(size=(5, 4, 2))), frame(rng.uniform(size=(5, 4, 2)))
+        y, p = frame(rng.uniform(size=(2, 5, 4, 2))), frame(rng.uniform(size=(2, 5, 4, 2)))
         spec = LossSpec(p=1, weight_p=0.7, weight_gdl=1.3)
         tape = Tape()
         expected = 0.7 * lp_loss(tape, y, p, 1).data.item() + 1.3 * gdl_loss(
@@ -109,7 +114,7 @@ class TestCombinedLoss:
 
     def test_gradient_away_from_kinks(self):
         rng = np.random.default_rng(7)
-        y_data = rng.uniform(0.0, 1.0, size=(4, 4, 1))
+        y_data = rng.uniform(0.0, 1.0, size=(1, 4, 4, 1))
 
         def f(tape, params):
             (pred,) = params
@@ -128,8 +133,8 @@ class TestCombinedLoss:
     @settings(max_examples=10, deadline=None)
     def test_nonnegative(self, p):
         rng = np.random.default_rng(p)
-        y = frame(rng.uniform(size=(3, 3, 1)))
-        pred = frame(rng.uniform(size=(3, 3, 1)))
+        y = frame(rng.uniform(size=(1, 3, 3, 1)))
+        pred = frame(rng.uniform(size=(1, 3, 3, 1)))
         assert combined_loss(Tape(), y, pred, LossSpec(p=p)).data.item() >= 0.0
 
 
@@ -162,6 +167,31 @@ class TestAdam:
             return p.data.tobytes()
 
         assert run() == run()
+
+    def test_non_finite_gradient_changes_nothing(self):
+        # the NaN sits in the last parameter's gradient, after the others
+        # would already have been updated
+        rng = np.random.default_rng(9)
+        params = {name: Tensor(rng.uniform(size=(2, 3)), requires_grad=True) for name in "abc"}
+        state = AdamState.for_parameters(params)
+        for p in params.values():
+            p.grad = rng.uniform(-1, 1, size=(2, 3))
+        adam_step(state, params)
+        for p in params.values():
+            p.grad = rng.uniform(-1, 1, size=(2, 3))
+        params["c"].grad[1, 2] = np.nan
+        before = {
+            name: (p.data.copy(), state.m[name].copy(), state.v[name].copy())
+            for name, p in params.items()
+        }
+        with pytest.raises(FloatingPointError, match="'c'"):
+            adam_step(state, params)
+        assert state.step == 1
+        for name, p in params.items():
+            data, m, v = before[name]
+            np.testing.assert_array_equal(p.data, data)
+            np.testing.assert_array_equal(state.m[name], m)
+            np.testing.assert_array_equal(state.v[name], v)
 
     def test_non_finite_gradient_names_parameter(self):
         p = Tensor(np.array(1.0), requires_grad=True)

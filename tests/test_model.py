@@ -165,6 +165,23 @@ class TestForward:
         with pytest.raises(Exception):
             forward_predict(model, np.zeros((0, 4, 4, 1)))
 
+    def test_forward_cuboid_takes_batches_only(self):
+        model = build(tiny_spec(), 0)
+        with pytest.raises(ShapeError, match=r"\[N, T, H, W, C\], got rank 4"):
+            forward_cuboid(Tape(recording=False), model, Tensor(np.zeros((2, 4, 4, 1))))
+
+    def test_predict_window_rank_checked_before_values_and_forward(self, monkeypatch):
+        # a batch of windows is not one window, whatever its values
+        model = build(tiny_spec(), 0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forward_cuboid called")
+
+        monkeypatch.setattr(model_module, "forward_cuboid", refuse)
+        window = np.full((1, 2, 4, 4, 1), np.nan)
+        with pytest.raises(ShapeError, match=r"\[T, H, W, C\] cuboid, got rank 5"):
+            forward_predict(model, window)
+
     def test_batched_forward_matches_loop(self):
         model = build(ModelSpec(layers=[(2, 2), (2, 2)]), 9)
         rng = np.random.default_rng(3)
@@ -179,8 +196,8 @@ class TestForward:
         spec = ModelSpec(layers=[(2, 2)], blend_mode="weighted", dws=True)
         model = build(spec, 11)
         rng = np.random.default_rng(4)
-        frames = rng.uniform(size=(2, 4, 4, 1))
-        target = rng.uniform(0.1, 0.9, size=(4, 4, 1))
+        frames = rng.uniform(size=(1, 2, 4, 4, 1))
+        target = rng.uniform(0.1, 0.9, size=(1, 4, 4, 1))
         params = list(model.parameters.values())
 
         def f(tape, _params):
@@ -292,7 +309,8 @@ class TestRecursive:
 
     @pytest.mark.parametrize("shape", [(1, 3, 4, 4, 1), (4, 4, 1)], ids=["batched", "one-frame"])
     def test_window_rank_checked_before_any_forward(self, shape, monkeypatch):
-        # forward_predict takes a batch, but the window slide cannot
+        # the window slide needs one [T, H, W, C] window; predict_recursive
+        # checks that itself, before its first forward_predict
         model = build(tiny_spec(), 0)
 
         def refuse(*args, **kwargs):

@@ -101,7 +101,7 @@ class TestPmdStep:
     def test_channel_mismatch(self):
         unit = zero_unit(3, 2, 2)
         with pytest.raises(ShapeError, match="channels"):
-            pmd_scan(Tape(), unit, Tensor(np.zeros((2, 4, 4, 3))), "t-")
+            pmd_scan(Tape(), unit, Tensor(np.zeros((1, 2, 4, 4, 3))), "t-")
 
 
 class TestReorient:
@@ -112,23 +112,23 @@ class TestReorient:
     def test_roundtrip(self, direction):
         rng = np.random.default_rng(5)
         unit = make_unit(3, 2, 2, rng)
-        cuboid = rng.uniform(size=(3, 4, 5, 2))
-        axis = {"t-": 0, "h-": 1, "h+": 1, "w-": 2, "w+": 2}[direction]
+        cuboid = rng.uniform(size=(2, 3, 4, 5, 2))
+        axis = {"t-": 1, "h-": 2, "h+": 2, "w-": 3, "w+": 3}[direction]
         step = -1 if direction in ("h-", "w-") else 1
-        reoriented = np.ascontiguousarray(np.moveaxis(cuboid, axis, 0)[::step])
+        reoriented = np.ascontiguousarray(np.moveaxis(cuboid, axis, 1)[:, ::step])
         via_time = pmd_scan(Tape(), unit, Tensor(reoriented), "t-").data
         got = pmd_scan(Tape(), unit, Tensor(cuboid), direction).data
-        np.testing.assert_array_equal(got, np.moveaxis(via_time[::step], 0, axis))
+        np.testing.assert_array_equal(got, np.moveaxis(via_time[:, ::step], 1, axis))
 
     def test_time_planes_are_frames(self):
         # the t- state at frame t sees frames 0..t and nothing later
         rng = np.random.default_rng(6)
         unit = make_unit(3, 1, 2, rng)
-        cuboid = rng.uniform(size=(3, 2, 2, 1))
+        cuboid = rng.uniform(size=(1, 3, 2, 2, 1))
         full = pmd_scan(Tape(), unit, Tensor(cuboid), "t-").data
         for t in range(3):
-            prefix = pmd_scan(Tape(), unit, Tensor(cuboid[:t + 1]), "t-").data
-            np.testing.assert_array_equal(prefix, full[:t + 1])
+            prefix = pmd_scan(Tape(), unit, Tensor(cuboid[:, :t + 1]), "t-").data
+            np.testing.assert_array_equal(prefix, full[:, :t + 1])
 
 
 class TestPmdScan:
@@ -137,18 +137,18 @@ class TestPmdScan:
         rng = np.random.default_rng(seed)
         unit = make_unit(3, 2, 3, rng)
         frames = rng.uniform(0, 1, size=(4, 5, 6, 2))
-        got = pmd_scan(Tape(), unit, Tensor(frames), "t-")
+        got = pmd_scan(Tape(), unit, Tensor(frames[None]), "t-")
         ref = convlstm_forward(frames, *unit_as_oracle_params(unit))
-        np.testing.assert_allclose(got.data, ref, atol=1e-12)
+        np.testing.assert_allclose(got.data[0], ref, atol=1e-12)
 
     def test_single_plane_equals_step(self):
         rng = np.random.default_rng(8)
         unit = make_unit(3, 1, 2, rng)
         frames = rng.uniform(0, 1, size=(1, 4, 4, 1))
         tape = Tape()
-        scanned = pmd_scan(tape, unit, Tensor(frames), "t-")
+        scanned = pmd_scan(tape, unit, Tensor(frames[None]), "t-")
         _, s = pmd_step(tape, unit, Tensor(frames[0]))
-        np.testing.assert_allclose(scanned.data[0], s.data, atol=1e-15)
+        np.testing.assert_allclose(scanned.data[0, 0], s.data, atol=1e-15)
 
     @pytest.mark.parametrize("direction", ["w+", "h-"])
     def test_spatial_scan_positions_match_manual_steps(self, direction):
@@ -161,7 +161,7 @@ class TestPmdScan:
         axis = {"w+": 2, "h-": 1}[direction]
         order = range(frames.shape[axis])
         tape = Tape()
-        got = pmd_scan(tape, unit, Tensor(frames), direction).data
+        got = pmd_scan(tape, unit, Tensor(frames[None]), direction).data[0]
         c = s = None
         for i in (reversed(order) if direction == "h-" else order):
             c, s = pmd_step(tape, unit, Tensor(np.take(frames, i, axis=axis)), c, s)
@@ -172,9 +172,9 @@ class TestPmdScan:
         unit = make_unit(3, 1, 2, rng, scale=0.2)
         column = rng.uniform(0, 1, size=(2, 3, 1, 1))
         frames = np.repeat(column, 8, axis=2)
-        got = pmd_scan(Tape(), unit, Tensor(frames), "w+")
+        got = pmd_scan(Tape(), unit, Tensor(frames[None]), "w+").data[0]
         diffs = [
-            float(np.max(np.abs(got.data[:, :, w + 1, :] - got.data[:, :, w, :])))
+            float(np.max(np.abs(got[:, :, w + 1, :] - got[:, :, w, :])))
             for w in range(7)
         ]
         for a, b in zip(diffs, diffs[1:]):
@@ -218,7 +218,7 @@ def rel_err(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-CUBOIDS = [(3, 4, 5, 2), (2, 3, 4, 5, 2)]  # rank 4 and batched rank 5
+CUBOIDS = [(1, 3, 4, 5, 2), (2, 3, 4, 5, 2)]  # [N, T, H, W, C] at N = 1 and 2
 
 
 class TestFusedLayer:
@@ -306,7 +306,7 @@ class TestFusedLayer:
         for name, t in unit.fields():
             if name.startswith("kx"):
                 t.data[...] = 1000.0
-        x = Tensor(np.array([1.0, -1.0]).reshape(2, 1, 1, 1))
+        x = Tensor(np.array([1.0, -1.0]).reshape(1, 2, 1, 1, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = pmd_scan(Tape(), unit, x, "t-").data
@@ -320,11 +320,14 @@ class TestFusedLayer:
     ], ids=["pmd_layer", "pmd_scan"])
     def test_unknown_direction_rejected(self, scan):
         with pytest.raises(ValueError, match="t\\+"):
-            scan(zero_unit(3, 1, 2), Tensor(np.zeros((2, 3, 3, 1))), "t+")
+            scan(zero_unit(3, 1, 2), Tensor(np.zeros((1, 2, 3, 3, 1))), "t+")
 
     def test_cuboid_rank_checked(self):
-        with pytest.raises(ShapeError, match="rank 3"):
-            pmd_layer(Tape(), {"t-": zero_unit(3, 1, 2)}, Tensor(np.zeros((3, 3, 1))))
+        # [N, T, H, W, C] is the only layout: an unbatched [T, H, W, C]
+        # cuboid is rejected like any other rank
+        for shape in ((3, 3, 1), (2, 3, 3, 1)):
+            with pytest.raises(ShapeError, match=rf"\[N, T, H, W, C\], got rank {len(shape)}"):
+                pmd_layer(Tape(), {"t-": zero_unit(3, 1, 2)}, Tensor(np.zeros(shape)))
 
 
 def make_states(rng, shape=(2, 3, 3, 4)):
@@ -460,7 +463,7 @@ class TestDirectionalWeightSharing:
         rng = np.random.default_rng(20)
         u = make_unit(3, 1, 2, rng)
         units = {"h-": u, "h+": u}
-        frames = Tensor(rng.uniform(size=(2, 4, 4, 1)))
+        frames = Tensor(rng.uniform(size=(1, 2, 4, 4, 1)))
         before = {
             d: pmd_scan(Tape(), units[d], frames, d).data for d in ("h-", "h+")
         }
@@ -473,7 +476,7 @@ class TestDirectionalWeightSharing:
         rng = np.random.default_rng(21)
         tied = build(ModelSpec(layers=[(2, 2)], dws=True), 21)
         untied = untied_copy_of(tied)
-        frames = Tensor(rng.uniform(size=(2, 4, 4, 1)))
+        frames = Tensor(rng.uniform(size=(2, 2, 4, 4, 1)))
 
         def backward(model):
             tape = Tape()
@@ -497,7 +500,7 @@ class TestDirectionalWeightSharing:
         for src, dst in (("h-", "h+"), ("w-", "w+")):
             for (_, a), (_, b) in zip(units[src].fields(), units[dst].fields()):
                 b.data[...] = a.data
-        frames = Tensor(rng.uniform(size=(2, 4, 4, 1)))
+        frames = Tensor(rng.uniform(size=(1, 2, 4, 4, 1)))
         block = BlendBlock("uniform", Tensor(np.eye(2)), Tensor(np.zeros(2)))
         tied = {**units, "h+": units["h-"], "w+": units["w-"]}
         before = layer_forward(Tape(), units, frames, block).data
