@@ -91,7 +91,18 @@ class MovingShape:
 
 @dataclass
 class Dataset:
-    data: np.ndarray  # [N, T, H, W, C] float64 in [0, 1]
+    """Frames [N, T, H, W, C] with values in [0, 1], what a CVPD file
+    holds. Any other rank, or a value that is not finite or outside
+    [0, 1], raises ValueError, so `save_dataset` cannot write a file that
+    `load_dataset` refuses."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        if self.data.ndim != 5:
+            raise ValueError(f"frames must be [N, T, H, W, C], got rank {self.data.ndim}")
+        if not np.all((self.data >= 0.0) & (self.data <= 1.0)):  # false for NaN too
+            raise ValueError("frame values must be finite and in [0, 1]")
 
     @property
     def shape(self):

@@ -129,10 +129,13 @@ class Tape:
         return out
 
     def backward(self, loss: Tensor) -> None:
-        """Populate `.grad` on every tensor that influences `loss`.
+        """Populate `.grad` on every leaf that influences `loss`: the
+        parameters and inputs that no node produced.
 
-        Grad buffers from a previous backward on this tape are cleared
-        first, so repeated calls (e.g. one per output pixel) are safe.
+        A node's output gradient is released once the node has consumed
+        it, so intermediate tensors end with `.grad` None. Grad buffers
+        from a previous backward on this tape are cleared first, so
+        repeated calls (e.g. one per output pixel) are safe.
         """
         if loss.data.shape != ():
             raise ShapeError(
@@ -148,6 +151,7 @@ class Tape:
             if out_grad is None:
                 continue
             contribs = node.backward_fn(out_grad)
+            node.output.grad = None
             for t, contrib in zip(node.inputs, contribs):
                 if contrib is None or not t.requires_grad:
                     continue

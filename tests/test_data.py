@@ -68,14 +68,14 @@ class TestGenerate:
         assert set(np.unique(a)) <= {0.0, 1.0} and a.max() == 1.0
 
     def test_window_pairs(self):
-        data = np.arange(2 * 5, dtype=float).reshape(2, 5, 1, 1, 1)
-        pairs = window(Dataset(data), input_len=3)
+        dataset = Dataset(np.arange(2 * 5, dtype=float).reshape(2, 5, 1, 1, 1) / 16)
+        pairs = window(dataset, input_len=3)
         assert len(pairs) == 2 * (5 - 3)
         x, y = pairs[3]  # sequence 1, pair 1
-        np.testing.assert_array_equal(x[:, 0, 0, 0], [6.0, 7.0, 8.0])
-        assert y[0, 0, 0] == 9.0
+        np.testing.assert_array_equal(x[:, 0, 0, 0] * 16, [6.0, 7.0, 8.0])
+        assert y[0, 0, 0] * 16 == 9.0
         with pytest.raises(ValueError):
-            window(Dataset(data), input_len=5)
+            window(dataset, input_len=5)
 
 
 def small_dataset():
@@ -131,11 +131,25 @@ class TestDatasetFile:
             load_dataset(str(path))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 7.0, -0.5])
-    def test_non_finite_or_out_of_range_frames(self, tmp_path, bad):
+    def test_dataset_rejects_what_the_loader_refuses(self, bad):
         data = np.full((1, 2, 3, 3, 1), 0.25)
         data[0, 1, 2, 0, 0] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            Dataset(data)
+
+    def test_dataset_rank_checked(self):
+        with pytest.raises(ValueError, match=r"\[N, T, H, W, C\], got rank 4"):
+            Dataset(np.zeros((2, 3, 3, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 7.0, -0.5])
+    def test_non_finite_or_out_of_range_frames(self, tmp_path, bad):
+        # Dataset refuses these values, so patch one f32 of a valid file:
+        # frame value [0, 1, 2, 0, 0] is payload element 1*9 + 2*3 = 15
+        blob = bytearray(dataset_bytes(Dataset(np.full((1, 2, 3, 3, 1), 0.25))))
+        at = len(blob) - 4 * 18 + 4 * 15
+        blob[at:at + 4] = np.array([bad], dtype="<f4").tobytes()
         path = tmp_path / "d.cvpd"
-        path.write_bytes(dataset_bytes(Dataset(data)))
+        path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=r"\[0, 1\]"):
             load_dataset(str(path))
 

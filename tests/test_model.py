@@ -268,16 +268,18 @@ class TestTraining:
         # consume what they keep for backward
         monkeypatch.setattr(pmd, "_THREADS", 2)  # use the pool even on one core
         rng = np.random.default_rng(8)
-        model = build(ModelSpec(), 0)
-        tape = Tape()
-        pred = forward_cuboid(tape, model, Tensor(rng.uniform(size=(2, 3, 6, 6, 1))))
-        loss = combined_loss(tape, Tensor(rng.uniform(size=(2, 6, 6, 1))), pred, LossSpec())
-        assert sum(n.kind == "pmd_layer" for n in tape.nodes) == len(model.layers)
-        grads = []
-        for _ in range(2):
-            tape.backward(loss)
-            grads.append([t.grad.tobytes() for t in model.parameters.values()])
-        assert grads[0] == grads[1]
+        # three groups per layer, and one group whose batch is split
+        for spec in (ModelSpec(), ModelSpec.convlstm_baseline(width=3, n_layers=2)):
+            model = build(spec, 0)
+            tape = Tape()
+            pred = forward_cuboid(tape, model, Tensor(rng.uniform(size=(2, 3, 6, 6, 1))))
+            loss = combined_loss(tape, Tensor(rng.uniform(size=(2, 6, 6, 1))), pred, LossSpec())
+            assert sum(n.kind == "pmd_layer" for n in tape.nodes) == len(model.layers)
+            grads = []
+            for _ in range(2):
+                tape.backward(loss)
+                grads.append([t.grad.tobytes() for t in model.parameters.values()])
+            assert grads[0] == grads[1]
 
 
 class TestRecursive:

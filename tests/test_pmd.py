@@ -220,6 +220,13 @@ def rel_err(a, b):
 
 CUBOIDS = [(1, 3, 4, 5, 2), (2, 3, 4, 5, 2)]  # [N, T, H, W, C] at N = 1 and 2
 
+# one group each: a lone direction and a DWS pair; and DWS's three groups
+SPLIT_LAYERS = {
+    "lone": lambda rng: {"t-": make_unit(3, 2, 3, rng, grad=True)},
+    "pair": lambda rng: dict.fromkeys(("h-", "h+"), make_unit(3, 2, 3, rng, grad=True)),
+    "dws": lambda rng: aliased_units(rng, 2, 3),
+}
+
 
 class TestFusedLayer:
     """pmd_layer's single node against the tape-composed scan oracle:
@@ -262,43 +269,78 @@ class TestFusedLayer:
             assert rel_err(got, want) <= 1e-12
 
     def test_pooled_forward_equals_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(pmd, "_THREADS", 2)  # use the pool even on one core
         rng = np.random.default_rng(32)
-        units = aliased_units(rng, 2, 3)
-        x = Tensor(rng.uniform(size=CUBOIDS[1]), requires_grad=True)
-        weights = rng.uniform(-1, 1, size=CUBOIDS[1][:-1] + (15,))
-        pooled, pooled_grads = run_with_grads(pmd_layer, units, x, weights)
-        assert pmd._pool is not None
-        calling, _ = run_with_grads(pmd_layer, units, x, weights, recording=False)
-        np.testing.assert_array_equal(pooled, calling)
-        monkeypatch.setattr(pmd, "_THREADS", 1)
-        serial, serial_grads = run_with_grads(pmd_layer, units, x, weights)
-        np.testing.assert_array_equal(pooled, serial)
-        for got, want in zip(pooled_grads, serial_grads):
-            np.testing.assert_array_equal(got, want)
+        for layer in SPLIT_LAYERS:
+            for n in (1, 3, 4):  # 3 splits unevenly
+                monkeypatch.setattr(pmd, "_THREADS", 2)  # use the pool even on one core
+                units = SPLIT_LAYERS[layer](rng)
+                shape = (n,) + CUBOIDS[1][1:]
+                x = Tensor(rng.uniform(size=shape), requires_grad=True)
+                weights = rng.uniform(-1, 1, size=shape[:-1] + (3 * len(units),))
+                pooled, pooled_grads = run_with_grads(pmd_layer, units, x, weights)
+                if layer == "dws" or n > 1:
+                    assert pmd._pool is not None
+                calling, _ = run_with_grads(pmd_layer, units, x, weights, recording=False)
+                np.testing.assert_array_equal(pooled, calling)
+                monkeypatch.setattr(pmd, "_THREADS", 1)
+                serial, serial_grads = run_with_grads(pmd_layer, units, x, weights)
+                np.testing.assert_array_equal(pooled, serial)
+                for got, want in zip(pooled_grads, serial_grads):
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("layer", SPLIT_LAYERS)
+    def test_forward_tasks_handed_to_the_pool(self, monkeypatch, layer):
+        # fewer groups than threads: one task per (group, batch slice); a
+        # layer whose groups fill the pool keeps one task per group, as
+        # splitting its batch as well was measured slower
+        monkeypatch.setattr(pmd, "_THREADS", 2)
+        rng = np.random.default_rng(35)
+        units = SPLIT_LAYERS[layer](rng)
+        submitted = []
+        with ThreadPoolExecutor(2) as pool:
+            submit = pool.submit
+            monkeypatch.setattr(pool, "submit", lambda *a: submitted.append(a) or submit(*a))
+            monkeypatch.setattr(pmd, "_pool", pool)
+            x = Tensor(rng.uniform(size=(4, 3, 4, 5, 2)), requires_grad=True)
+            pmd_layer(Tape(recording=False), units, x)  # inference stays in this thread
+            assert submitted == []
+            pmd_layer(Tape(), units, x)
+        if layer == "dws":
+            assert len(submitted) == 3
+        else:
+            assert len(submitted) >= 2
 
     def test_concurrent_callers_match_calling_thread(self, monkeypatch):
-        # six callers share the lazily created pool of two threads
+        # six callers, each with its own single-group or DWS layer, share
+        # the lazily created pool of two threads, forward and backward
         monkeypatch.setattr(pmd, "_THREADS", 2)
         monkeypatch.setattr(pmd, "_pool", None)
         rng = np.random.default_rng(34)
-        units = aliased_units(rng, 2, 3)
-        xs = [rng.uniform(size=CUBOIDS[1]) for _ in range(6)]
-        want = [pmd_layer(Tape(recording=False), units, Tensor(x)).data for x in xs]
+        shape = CUBOIDS[1]
+        calls = []
+        for layer in ("lone", "dws") * 3:
+            units = SPLIT_LAYERS[layer](rng)
+            weights = rng.uniform(-1, 1, size=shape[:-1] + (3 * len(units),))
+            calls.append((units, rng.uniform(size=shape), weights))
 
-        def recorded(x):
-            return pmd_layer(Tape(), units, Tensor(x, requires_grad=True)).data
+        def run(units, x, weights, recording=True):
+            x = Tensor(x, requires_grad=True)
+            return run_with_grads(pmd_layer, units, x, weights, recording)
 
+        want = [run(*call) for call in calls]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(len(xs)) as callers:
-                futures = [callers.submit(recorded, x) for x in xs]
+            with ThreadPoolExecutor(len(calls)) as callers:
+                futures = [callers.submit(run, *call) for call in calls]
                 got = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+        for call, (g_out, g_grads), (w_out, w_grads) in zip(calls, got, want):
+            np.testing.assert_array_equal(g_out, w_out)
+            np.testing.assert_array_equal(g_out, run(*call, recording=False)[0])
+            for a, b in zip(g_grads, w_grads):
+                np.testing.assert_array_equal(a, b)
 
     def test_saturated_gates_without_overflow_warning(self):
         # gate logits of +1000 then -1000; exp(1000) overflows to inf

@@ -171,6 +171,34 @@ class TestBackward:
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, first)
 
+    def test_output_grads_released_leaf_grads_unchanged(self):
+        def graph():
+            tape = Tape()
+            x = Tensor(rand((4, 4, 2), 3), requires_grad=True)
+            k = Tensor(rand((3, 3, 2, 2), 4), requires_grad=True)
+            h = tape.tanh(tape.conv2d(x, k))
+            return tape, tape.sum(tape.mul(h, h)), h, (x, k)
+
+        def backward_keeping_output_grads(tape, loss):
+            # the sweep without the release: every node's output keeps its grad
+            loss.grad = np.ones(())
+            for node in reversed(tape.nodes):
+                contribs = node.backward_fn(node.output.grad)
+                for t, contrib in zip(node.inputs, contribs):
+                    if contrib is not None and t.requires_grad:
+                        if t.grad is None:
+                            t.grad = np.zeros_like(t.data)
+                        t.grad += contrib
+
+        tape, loss, h, leaves = graph()
+        tape.backward(loss)
+        assert h.grad is None and loss.grad is None
+        ref_tape, ref_loss, ref_h, ref_leaves = graph()
+        backward_keeping_output_grads(ref_tape, ref_loss)
+        assert ref_h.grad is not None
+        for got, want in zip(leaves, ref_leaves):
+            assert got.grad.tobytes() == want.grad.tobytes()
+
     def test_determinism_bit_identical(self):
         def run():
             tape = Tape()
