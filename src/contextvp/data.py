@@ -229,7 +229,7 @@ def load_dataset(path: str) -> Dataset:
     payload = reader.take(4 * total)
     if not reader.done():
         raise FormatError("trailing bytes after frame data")
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
-    if not np.all((data >= 0.0) & (data <= 1.0)):  # false for NaN too
-        raise FormatError("frame values must be finite and in [0, 1]")
-    return Dataset(data)
+    try:
+        return Dataset(np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims))
+    except ValueError as exc:  # Dataset's own value check
+        raise FormatError(str(exc)) from exc

@@ -21,7 +21,8 @@ weight sharing (DWS) h-/h+ form group h and w-/w+ group w; without it
 each direction is its own group; the time-only baseline has the one
 group t- and no blend. `build` draws the table's entries from a seed,
 `count_from_spec` sums its shapes, and `load_model` checks each stored
-tensor's header against it before reading the values into fresh arrays.
+tensor's header against it before reading the values into fresh arrays,
+and refuses a value that is not finite.
 """
 
 from __future__ import annotations
@@ -344,7 +345,8 @@ def save_model(model: Model, path: str) -> None:
 
 
 def load_model(path: str) -> Model:
-    """Read a model file. Any malformed content raises a serial.FormatError."""
+    """Read a model file. Any malformed content, a parameter value that is
+    not finite included, raises a serial.FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     reader = Reader(blob)
@@ -383,6 +385,8 @@ def load_model(path: str) -> Model:
                 f"tensor {name!r} has shape {shape}, spec expects {shapes[name]}"
             )
         values = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8")
+        if not np.all(np.isfinite(values)):
+            raise serial.FormatError(f"tensor {name!r} holds a value that is not finite")
         # astype copies, so the parameter is writable and owns its memory
         params[name] = Tensor(values.reshape(shape).astype(np.float64), requires_grad=True)
     if params.keys() != shapes.keys():

@@ -56,21 +56,22 @@ Each group's arithmetic does not depend on the thread that runs it, and
 the results are combined in a fixed order, so values and gradients are
 bit-identical with and without the pool.
 
-A recorded node with fewer groups than threads, such as the time-only
-baseline's single group, also splits its batch, along which the planes
-are independent too: into min(N, threads // groups) contiguous slices
-of axis 0 of the cuboid, axis 1 of every plane-first buffer, with one
-pool task per (group, slice). Each task projects and scans its slice
-forward; backward it runs BPTT on it into the slice of each direction's
-pre-activation gradients, then, for a group of one direction, whose
-gradients are then final, the slice's input gradient. The parameter
-gradients stay whole-batch reductions over the complete pre-activation
-gradients, taken after that map, so they are bit-identical to an
-unsplit node's: the state kernel gradients on the pool, a lone
-direction's alongside its kx gradient and bias sum in the calling
-thread. The rule depends only on the group count and the batch size. A
-node whose groups fill the pool is not split, as splitting a DWS
-layer's batch as well was measured 1.22x slower.
+One split rule: a recorded node with exactly one group, such as a layer
+of the time-only baseline, splits its batch, along which the planes are
+independent too, into min(N, threads) contiguous slices of axis 0 of the
+cuboid, axis 1 of every plane-first buffer; every other node runs one
+pool task per group. The batch slices are then the one group's tasks:
+each projects and scans its slice forward; backward it runs BPTT on it
+and, for a lone direction, takes the slice's input gradient. The
+parameter gradients stay whole-batch reductions, so they are
+bit-identical to an unsplit node's; a split group's state kernel
+gradients run on the pool, a lone direction's beside its kx gradient and
+bias sum in the calling thread. The rule reads only the group count and
+the batch size. A DWS layer (three groups) is not split, as splitting
+its batch as well was measured 1.22x slower. A split group is the only
+item of its node's task list, so it runs in the calling thread: only a
+thread outside the pool hands the pool work, and no pool task ever waits
+on another.
 
 Blending projects the concatenated states with `pointwise`, the 1x1
 convolution the model's head also uses: weighted mode with its
@@ -82,7 +83,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -317,70 +318,42 @@ def _group_forward(group: list, x: np.ndarray, out: np.ndarray, b: slice) -> Non
         sw.forward(proj, out, b)
 
 
-def _input_side(group: list, x: np.ndarray, dpres: list, grads: list) -> None:
-    """Add the group's whole-batch pre-activation gradients in place into
-    the first direction's dpre, which its ks gradient must have read, then
-    put the group's kx gradient and bias sum into grads[0]."""
+def _group_backward(group: list, batches: list, x, out, g, need_x: bool):
+    """A direction group's backward. BPTT runs per batch slice, one
+    `_map` item each, into the slice of each direction's pre-activation
+    gradients; a lone direction's are then final, so the same item takes
+    the slice's input gradient. The parameter gradients are whole-batch
+    reductions: the ks gradient per direction, on the pool when the batch
+    is split, beside a lone direction's kx gradient and bias sum in this
+    thread; a pair's dpre is added in place into the first direction's
+    once both ks gradients have read it, then one kx gradient, one bias
+    sum and the pair's input gradient per slice. Returns ([gkx, gks, gb]
+    per direction, None for kx and b after the first; the plane-first
+    input gradient per batch slice, None unless `need_x`)."""
     first = group[0]
-    for dpre in dpres[1:]:
-        dpres[0] += dpre
+    dpres = [np.empty(sw.acts.shape) for sw in group]
+
+    def bptt(b):
+        for sw, dpre in zip(group, dpres):
+            sw.bptt(out, g, dpre, b)
+        return conv_input_grad(dpres[0][:, b], first.kx) if need_x and len(group) == 1 else None
+
+    gx = _map(bptt, batches, parallel=True)
+    split = len(batches) > 1
+    gks = [_start(sw.state_kernel_grad, out, d, parallel=split) for sw, d in zip(group, dpres)]
+    if len(group) > 1:
+        wait(gks)
+        for dpre in dpres[1:]:
+            dpres[0] += dpre
+    gkx = gb = None
     if first.need_params:
         rows = dpres[0].reshape(-1, dpres[0].shape[-1])
-        grads[0][0] = (im2col(first.planes(x), first.k, first.k).T @ rows).reshape(first.kx.shape)
-        grads[0][2] = rows.sum(axis=0)
-
-
-def _group_backward(group: list, x: np.ndarray, out: np.ndarray, g: np.ndarray, need_x: bool):
-    """A group's whole-batch backward in one task: BPTT and the ks
-    gradient per direction, then the input side. Returns ([gkx, gks, gb]
-    per direction, None for kx and b after the first; [the plane-first
-    input gradient], None unless `need_x`)."""
-    dpres, grads = [], []
-    for sw in group:
-        dpres.append(np.empty(sw.acts.shape))
-        sw.bptt(out, g, dpres[-1], slice(None))
-        grads.append([None, sw.state_kernel_grad(out, dpres[-1]), None])
-    _input_side(group, x, dpres, grads)
-    return grads, [conv_input_grad(dpres[0], group[0].kx)] if need_x else None
-
-
-def _split_backward(groups: list, batches: list, x, out, g, need_x: bool) -> list:
-    """The backward of a node whose batch is split. One pool task per
-    (group, batch slice) runs BPTT into each direction's dpre and, for a
-    lone direction, whose dpre is then final, the slice's input gradient.
-    The parameter gradients stay whole-batch reductions after that map,
-    so they are bit-identical to `_group_backward`'s: the ks gradients on
-    the pool, alongside the input side in the calling thread for a lone
-    direction and before it for a pair, whose input gradient follows.
-    Returns `_group_backward`'s results with one input gradient per
-    batch slice."""
-    dpres = [[np.empty(sw.acts.shape) for sw in group] for group in groups]
-
-    def bptt(task):
-        group, dp, b = task
-        for sw, dpre in zip(group, dp):
-            sw.bptt(out, g, dpre, b)
-        if need_x and len(group) == 1:
-            return conv_input_grad(dp[0][:, b], group[0].kx)
-        return None
-
-    tasks = [(group, dp, b) for group, dp in zip(groups, dpres) for b in batches]
-    gx_parts = iter(_map(bptt, tasks, parallel=True))
-    results = []
-    for group, dp in zip(groups, dpres):
-        gx = [next(gx_parts) for _ in batches]
-        pool = _get_pool()
-        gks = [pool.submit(sw.state_kernel_grad, out, d) for sw, d in zip(group, dp)]
-        if len(group) > 1:  # _input_side adds into the first direction's dpre
-            wait(gks)
-        grads = [[None, None, None] for _ in group]
-        _input_side(group, x, dp, grads)
-        for per_dir, f in zip(grads, gks):
-            per_dir[1] = f.result()
-        if need_x and len(group) > 1:
-            gx = [conv_input_grad(dp[0][:, b], group[0].kx) for b in batches]
-        results.append((grads, gx if need_x else None))
-    return results
+        gkx = (im2col(first.planes(x), first.k, first.k).T @ rows).reshape(first.kx.shape)
+        gb = rows.sum(axis=0)
+    grads = [[gkx, gks[0].result(), gb]] + [[None, f.result(), None] for f in gks[1:]]
+    if need_x and len(group) > 1:
+        gx = [conv_input_grad(dpres[0][:, b], first.kx) for b in batches]
+    return grads, gx if need_x else None
 
 
 def _get_pool() -> ThreadPoolExecutor:
@@ -392,14 +365,23 @@ def _get_pool() -> ThreadPoolExecutor:
     return _pool
 
 
+def _start(fn, *args, parallel: bool) -> Future:
+    """fn(*args) as a future: submitted to the shared pool when
+    `parallel`, else run now in this thread."""
+    if parallel:
+        return _get_pool().submit(fn, *args)
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
 def _map(fn, items, parallel: bool) -> list:
     """[fn(item) for item in items], on the shared thread pool when
-    `parallel` and more than one of its threads would get work."""
-    if not parallel or min(len(items), _THREADS) < 2:
-        return [fn(item) for item in items]
-    pool = _get_pool()
-    futures = [pool.submit(fn, item) for item in items]
-    return [f.result() for f in futures]
+    `parallel` and more than one of its threads would get work. Only a
+    thread outside the pool may ask for `parallel`, so no pool task ever
+    waits on another."""
+    parallel = parallel and min(len(items), _THREADS) > 1
+    return [f.result() for f in [_start(fn, item, parallel=parallel) for item in items]]
 
 
 def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
@@ -433,9 +415,9 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
     groups = list(groups.values())
     x = cuboid.data
     out = np.empty(x.shape[:-1] + (int(offsets[-1]),))
-    # a recorded node with fewer groups than threads also splits its batch
+    # a recorded one-group node splits its batch; every other node runs one task per group
     n = x.shape[0]
-    chunks = max(1, min(n, _THREADS // len(groups))) if keep else 1
+    chunks = min(n, _THREADS) if keep and len(groups) == 1 else 1
     batches = [slice(n * j // chunks, n * (j + 1) // chunks) for j in range(chunks)]
     _map(
         lambda task: _group_forward(task[0], x, out, task[1]),
@@ -445,12 +427,9 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
 
     def backward(g):
         need_x = cuboid.requires_grad
-        if chunks == 1:
-            results = _map(
-                lambda group: _group_backward(group, x, out, g, need_x), groups, parallel=True
-            )
-        else:
-            results = _split_backward(groups, batches, x, out, g, need_x)
+        results = _map(
+            lambda group: _group_backward(group, batches, x, out, g, need_x), groups, parallel=True
+        )
         gx = None
         if need_x:
             gx = np.zeros(x.shape)

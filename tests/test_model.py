@@ -530,6 +530,16 @@ class TestMalformedModelFiles:
         with pytest.raises(serial.FormatError, match="spec expects"):
             load_cvpm(tmp_path, tiny_spec_json(), [(b"layer1.t-.kx", shape)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_parameter_value(self, tmp_path, bad):
+        # the file's last f8 is the last value of head.bias, the last tensor
+        blob = bytearray(model_bytes(build(tiny_spec(), 0)))
+        blob[-8:] = np.array([bad], dtype="<f8").tobytes()
+        path = tmp_path / "m.cvpm"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(serial.FormatError, match="'head.bias'.*not finite"):
+            load_model(str(path))
+
     def test_forged_spec_fails_before_build(self, tmp_path, monkeypatch):
         # a few bytes of spec asking for billions of weights must not reach
         # build, which would draw and allocate them

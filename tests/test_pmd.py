@@ -1,4 +1,5 @@
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -220,12 +221,46 @@ def rel_err(a, b):
 
 CUBOIDS = [(1, 3, 4, 5, 2), (2, 3, 4, 5, 2)]  # [N, T, H, W, C] at N = 1 and 2
 
-# one group each: a lone direction and a DWS pair; and DWS's three groups
-SPLIT_LAYERS = {
+# one group each, which a recorded node splits by batch: a lone direction
+# and a DWS pair; then two groups of one direction, and DWS's three groups
+POOL_LAYERS = {
     "lone": lambda rng: {"t-": make_unit(3, 2, 3, rng, grad=True)},
     "pair": lambda rng: dict.fromkeys(("h-", "h+"), make_unit(3, 2, 3, rng, grad=True)),
+    "two": lambda rng: {d: make_unit(3, 2, 3, rng, grad=True) for d in ("t-", "h-")},
     "dws": lambda rng: aliased_units(rng, 2, 3),
 }
+
+
+def spy_pool(monkeypatch, threads):
+    """Install a pool of `threads` threads named spy-* as pmd's shared
+    pool. Returns it and the list to which its submit appends the name of
+    each submitting thread. A submit from one of its own threads raises
+    instead: a pool task that waits on another can deadlock the pool."""
+    monkeypatch.setattr(pmd, "_THREADS", threads)
+    pool = ThreadPoolExecutor(threads, thread_name_prefix="spy")
+    submitters = []
+    submit = pool.submit
+
+    def spy(*args):
+        name = threading.current_thread().name
+        if name.startswith("spy"):
+            raise AssertionError(f"pool thread {name} submitted a task")
+        submitters.append(name)
+        return submit(*args)
+
+    monkeypatch.setattr(pool, "submit", spy)
+    monkeypatch.setattr(pmd, "_pool", pool)
+    return pool, submitters
+
+
+def assert_pool_tasks(layer, tasks):
+    """A one-group node of POOL_LAYERS at batch 4 hands the pool at least
+    two batch slices; the two-group layer, run at four threads, its two
+    groups; DWS its three groups."""
+    if layer in ("two", "dws"):
+        assert tasks == {"two": 2, "dws": 3}[layer]
+    else:
+        assert tasks >= 2
 
 
 class TestFusedLayer:
@@ -270,10 +305,10 @@ class TestFusedLayer:
 
     def test_pooled_forward_equals_calling_thread(self, monkeypatch):
         rng = np.random.default_rng(32)
-        for layer in SPLIT_LAYERS:
+        for layer in POOL_LAYERS:
             for n in (1, 3, 4):  # 3 splits unevenly
                 monkeypatch.setattr(pmd, "_THREADS", 2)  # use the pool even on one core
-                units = SPLIT_LAYERS[layer](rng)
+                units = POOL_LAYERS[layer](rng)
                 shape = (n,) + CUBOIDS[1][1:]
                 x = Tensor(rng.uniform(size=shape), requires_grad=True)
                 weights = rng.uniform(-1, 1, size=shape[:-1] + (3 * len(units),))
@@ -288,38 +323,46 @@ class TestFusedLayer:
                 for got, want in zip(pooled_grads, serial_grads):
                     np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("layer", SPLIT_LAYERS)
+    @pytest.mark.parametrize("layer", POOL_LAYERS)
     def test_forward_tasks_handed_to_the_pool(self, monkeypatch, layer):
-        # fewer groups than threads: one task per (group, batch slice); a
-        # layer whose groups fill the pool keeps one task per group, as
-        # splitting its batch as well was measured slower
-        monkeypatch.setattr(pmd, "_THREADS", 2)
+        # a one-group node: one task per batch slice; any other node keeps
+        # one task per group, however many threads there are, as splitting
+        # a DWS layer's batch as well was measured slower
         rng = np.random.default_rng(35)
-        units = SPLIT_LAYERS[layer](rng)
-        submitted = []
-        with ThreadPoolExecutor(2) as pool:
-            submit = pool.submit
-            monkeypatch.setattr(pool, "submit", lambda *a: submitted.append(a) or submit(*a))
-            monkeypatch.setattr(pmd, "_pool", pool)
+        units = POOL_LAYERS[layer](rng)
+        pool, submitted = spy_pool(monkeypatch, 4 if layer == "two" else 2)
+        with pool:
             x = Tensor(rng.uniform(size=(4, 3, 4, 5, 2)), requires_grad=True)
             pmd_layer(Tape(recording=False), units, x)  # inference stays in this thread
             assert submitted == []
             pmd_layer(Tape(), units, x)
-        if layer == "dws":
-            assert len(submitted) == 3
-        else:
-            assert len(submitted) >= 2
+        assert_pool_tasks(layer, len(submitted))
+
+    @pytest.mark.parametrize("layer", POOL_LAYERS)
+    def test_backward_tasks_handed_to_the_pool(self, monkeypatch, layer):
+        # as forward: the batch slices' BPTT of a one-group node, else one
+        # task per group; and only the calling thread hands the pool work
+        # (spy_pool raises otherwise)
+        rng = np.random.default_rng(36)
+        units = POOL_LAYERS[layer](rng)
+        pool, submitted = spy_pool(monkeypatch, 4 if layer == "two" else 2)
+        with pool:
+            x = Tensor(rng.uniform(size=(4, 3, 4, 5, 2)), requires_grad=True)
+            tape = Tape()
+            out = pmd_layer(tape, units, x)
+            forward = len(submitted)
+            tape.backward(tape.sum(out))
+        assert_pool_tasks(layer, len(submitted) - forward)
 
     def test_concurrent_callers_match_calling_thread(self, monkeypatch):
-        # six callers, each with its own single-group or DWS layer, share
-        # the lazily created pool of two threads, forward and backward
-        monkeypatch.setattr(pmd, "_THREADS", 2)
-        monkeypatch.setattr(pmd, "_pool", None)
+        # six callers, each with its own one-group, two-group or DWS layer,
+        # share the lazily created pool of two, then four threads, forward
+        # and backward
         rng = np.random.default_rng(34)
         shape = CUBOIDS[1]
         calls = []
-        for layer in ("lone", "dws") * 3:
-            units = SPLIT_LAYERS[layer](rng)
+        for layer in ("lone", "two", "dws") * 2:
+            units = POOL_LAYERS[layer](rng)
             weights = rng.uniform(-1, 1, size=shape[:-1] + (3 * len(units),))
             calls.append((units, rng.uniform(size=shape), weights))
 
@@ -327,20 +370,23 @@ class TestFusedLayer:
             x = Tensor(x, requires_grad=True)
             return run_with_grads(pmd_layer, units, x, weights, recording)
 
-        want = [run(*call) for call in calls]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(len(calls)) as callers:
-                futures = [callers.submit(run, *call) for call in calls]
-                got = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for call, (g_out, g_grads), (w_out, w_grads) in zip(calls, got, want):
-            np.testing.assert_array_equal(g_out, w_out)
-            np.testing.assert_array_equal(g_out, run(*call, recording=False)[0])
-            for a, b in zip(g_grads, w_grads):
-                np.testing.assert_array_equal(a, b)
+        for threads in (2, 4):
+            monkeypatch.setattr(pmd, "_THREADS", threads)
+            monkeypatch.setattr(pmd, "_pool", None)
+            want = [run(*call) for call in calls]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(len(calls)) as callers:
+                    futures = [callers.submit(run, *call) for call in calls]
+                    got = [f.result(timeout=120) for f in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            for call, (g_out, g_grads), (w_out, w_grads) in zip(calls, got, want):
+                np.testing.assert_array_equal(g_out, w_out)
+                np.testing.assert_array_equal(g_out, run(*call, recording=False)[0])
+                for a, b in zip(g_grads, w_grads):
+                    np.testing.assert_array_equal(a, b)
 
     def test_saturated_gates_without_overflow_warning(self):
         # gate logits of +1000 then -1000; exp(1000) overflows to inf
