@@ -92,24 +92,24 @@ def combined_loss(tape: Tape, y: Tensor, pred: Tensor, spec: LossSpec) -> Tensor
 BASE_LEARNING_RATE = 1e-3
 DECAY_RATE = 0.99
 DECAY_EVERY = 5
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
-def lr_schedule(epoch: int, base: float = BASE_LEARNING_RATE,
-                decay: float = DECAY_RATE, every: int = DECAY_EVERY) -> float:
-    """Stepped decay: base * decay ** floor(epoch / every)."""
+def lr_schedule(epoch: int) -> float:
+    """Stepped decay: BASE_LEARNING_RATE * DECAY_RATE ** floor(epoch / DECAY_EVERY)."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return base * decay ** (epoch // every)
+    return BASE_LEARNING_RATE * DECAY_RATE ** (epoch // DECAY_EVERY)
 
 
 @dataclass
 class AdamState:
-    """Moment estimates keyed like the parameter map they mirror."""
+    """Moment estimates keyed like the parameter map they mirror; the
+    moment decays are BETA1 and BETA2, the denominator's offset EPS."""
 
     lr: float = BASE_LEARNING_RATE
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -136,18 +136,18 @@ def adam_step(state: AdamState, params: dict) -> None:
         if p.grad is not None and not np.all(np.isfinite(p.grad)):
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
-    b1c = 1.0 - state.beta1 ** state.step
-    b2c = 1.0 - state.beta2 ** state.step
+    b1c = 1.0 - BETA1 ** state.step
+    b2c = 1.0 - BETA2 ** state.step
     for name, p in params.items():
         g = p.grad
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        v *= state.beta2
+        m *= BETA1
+        v *= BETA2
         if g is not None:
-            m += (1.0 - state.beta1) * g
-            v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + state.eps)
+            m += (1.0 - BETA1) * g
+            v += (1.0 - BETA2) * (g * g)
+        p.data -= state.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
 
 
 # -- initialization ----------------------------------------------------------

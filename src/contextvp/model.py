@@ -8,21 +8,28 @@ a skip pair (src, dst) is configured, the output cuboid of layer `dst` is
 concatenated with that of layer `src` along channels before feeding
 whatever consumes it (the next layer, or the output head after the last
 layer). The head takes the t = T slice of the final carry, projects it to
-the frame's channel count with the blend's pointwise projection
-(`pmd.pointwise`, a 1x1 convolution) and applies a sigmoid, so
-predictions always land in (0, 1).
+the frame's channel count with a 1x1 `Tape.conv2d`, as the blend does,
+and applies a sigmoid, so predictions always land in (0, 1).
 
-`param_shapes(spec)` is the parameter table: every tensor's name and
-shape, in draw order, which is also file order. Layers come in ascending
-order; within a layer, each direction group of `direction_groups(spec)`
+`param_shapes(spec)` is the parameter table, the one description of the
+parameters: every tensor's name and shape, in draw order, which is also
+file order. Layers come in ascending order; within a layer, each direction group of `direction_groups(spec)`
 in DIRECTIONS order with its `kx`, `ks` and `b`, then `blend.weight` and
 `blend.bias`; last `head.weight` and `head.bias`. Under directional
 weight sharing (DWS) h-/h+ form group h and w-/w+ group w; without it
 each direction is its own group; the time-only baseline has the one
-group t- and no blend. `build` draws the table's entries from a seed,
-`count_from_spec` sums its shapes, and `load_model` checks each stored
-tensor's header against it before reading the values into fresh arrays,
-and refuses a value that is not finite.
+group t- and no blend. Blend and head weights are stored as the 1x1
+kernels the forward convolves with, [1, 1, rows, N2] and [1, 1, Cin, C].
+`build` draws the table's entries from a seed and `count_from_spec` sums
+its shapes.
+
+A model file is the spec plus the values: the magic b"CVPM", the u32
+MODEL_VERSION, the u64 length of the spec JSON, the spec JSON, then every
+value of the table as little-endian float64, tensor after tensor in table
+order, each in row-major order. Nothing else: names and shapes follow from
+the spec. `load_model` checks that the values fill the rest of the file
+exactly, reads them in place into fresh arrays, and refuses a value that is
+not finite.
 """
 
 from __future__ import annotations
@@ -45,14 +52,15 @@ from contextvp.pmd import (
     blend,
     pmd_layer,
     pmd_scan,  # not called here; the benchmark tracer patches it by name
-    pointwise,
 )
 from contextvp.prng import SplitMix64
-from contextvp.serial import NameCollisionError, Reader, Writer, atomic_write
+from contextvp.serial import Reader, Writer, atomic_write
 from contextvp.tensor import Tensor, Tape, ShapeError
 
 MODEL_MAGIC = b"CVPM"
-MODEL_VERSION = 3  # bumped whenever the spec JSON keys or the tensor layout change
+# bumped whenever the spec JSON keys, the parameter table or the file layout
+# change; only the current version is read
+MODEL_VERSION = 4
 
 KINDS = ("contextvp", "convlstm_baseline")
 
@@ -86,6 +94,9 @@ class ModelSpec:
             raise ValueError("model needs at least one layer")
         if any(n1 < 1 or n2 < 1 for n1, n2 in self.layers):
             raise ValueError("layer unit counts must be >= 1")
+        if self.kind == "convlstm_baseline" and any(n1 != n2 for n1, n2 in self.layers):
+            # a baseline layer has no blend, so its width is n1 alone
+            raise ValueError(f"baseline layers need n1 == n2, got {self.layers}")
         if self.kernel % 2 == 0 or self.kernel < 1:
             raise ValueError(f"kernel size must be odd and >= 1, got {self.kernel}")
         if self.blend_mode not in BLEND_MODES:
@@ -151,11 +162,11 @@ def param_shapes(spec: ModelSpec) -> dict:
             shapes[f"layer{idx}.{group}.b"] = (len(GATES) * n1,)
         if spec.kind == "contextvp":
             rows = n1 if spec.blend_mode == "uniform" else len(DIRECTIONS) * n1
-            shapes[f"layer{idx}.blend.weight"] = (rows, n2)
+            shapes[f"layer{idx}.blend.weight"] = (1, 1, rows, n2)
             shapes[f"layer{idx}.blend.bias"] = (n2,)
         outs.append(n2 if spec.kind == "contextvp" else n1)
         cin = outs[-1] + sum(outs[src - 1] for src, dst in spec.skip_pairs if dst == idx)
-    shapes["head.weight"] = (cin, spec.in_channels)
+    shapes["head.weight"] = (1, 1, cin, spec.in_channels)
     shapes["head.bias"] = (spec.in_channels,)
     return shapes
 
@@ -203,8 +214,9 @@ def build(spec: ModelSpec, seed: int) -> Model:
 
     A unit kernel is one fan-balanced uniform draw per gate, in (in,
     forget, out, cell) order, stacked on the last axis; blend and head
-    weights are one draw each; biases start at zero. A seed therefore
-    fully determines the parameter bytes.
+    weights are one draw each, with the fans of their 1x1 kernel's last
+    two axes; biases start at zero. A seed therefore fully determines the
+    parameter bytes.
     """
     rng = SplitMix64(seed)
     params = {}
@@ -216,7 +228,7 @@ def build(spec: ModelSpec, seed: int) -> Model:
                 [xavier_conv_kernel(k, fan_in, ch, rng) for _ in GATES], axis=3
             )
         elif name.endswith(".weight"):
-            data = xavier_uniform(shape, *shape, rng)
+            data = xavier_uniform(shape, *shape[2:], rng)
         else:
             data = np.zeros(shape)
         params[name] = Tensor(data, requires_grad=True)
@@ -253,7 +265,7 @@ def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
         cur = carry
 
     last_plane = tape.index(cur, 1, t_len - 1)
-    return tape.sigmoid(pointwise(tape, last_plane, model.head_weight, model.head_bias))
+    return tape.sigmoid(tape.conv2d(last_plane, model.head_weight, model.head_bias))
 
 
 def _one_window(frames) -> np.ndarray:
@@ -327,15 +339,7 @@ def model_bytes(model: Model) -> bytes:
     blob = _spec_json(model.spec)
     w.u64(len(blob))
     w.raw(blob)
-    params = model.parameters
-    w.u64(len(params))
-    for name, t in params.items():
-        encoded = name.encode()
-        w.u32(len(encoded))
-        w.raw(encoded)
-        w.u32(t.data.ndim)
-        for extent in t.data.shape:
-            w.u64(extent)
+    for t in model.parameters.values():
         w.raw(t.data.astype("<f8").tobytes())
     return w.getvalue()
 
@@ -360,38 +364,25 @@ def load_model(path: str) -> Model:
         shapes = param_shapes(spec)
     except (ValueError, TypeError, RecursionError) as exc:
         raise serial.FormatError(f"invalid model spec: {exc}") from exc
-    # checked before any tensor is read, so a forged spec cannot make the
+    # checked before any value is read, so a forged spec cannot make the
     # loader allocate what it asks for
     n_scalars = count_from_spec(spec)
-    if 8 * n_scalars > reader.remaining():
+    left = reader.remaining()
+    if 8 * n_scalars > left:
         raise serial.TruncatedFileError(
-            f"spec needs {n_scalars} float64 values, file has {reader.remaining()} bytes left"
+            f"spec needs {n_scalars} float64 values, file has {left} bytes left"
         )
-    n_tensors = reader.u64()
+    if 8 * n_scalars < left:
+        raise serial.FormatError(f"{left - 8 * n_scalars} trailing bytes after the last value")
+    # read in place, one copy per tensor: copying the ~1 MB payload out of
+    # the blob first doubled the load time
+    offset = len(blob) - left
     params = {}
-    for _ in range(n_tensors):
-        try:
-            name = reader.take(reader.u32()).decode()
-        except UnicodeDecodeError as exc:
-            raise serial.FormatError(f"tensor name is not UTF-8: {exc}") from exc
-        if name in params:
-            raise NameCollisionError(f"duplicate tensor name {name!r}")
-        rank = reader.u32()
-        shape = tuple(reader.u64() for _ in range(rank))
-        if name not in shapes:
-            raise serial.FormatError(f"unexpected tensor name {name!r}")
-        if shapes[name] != shape:
-            raise serial.FormatError(
-                f"tensor {name!r} has shape {shape}, spec expects {shapes[name]}"
-            )
-        values = np.frombuffer(reader.take(8 * math.prod(shape)), dtype="<f8")
+    for name, shape in shapes.items():
+        values = np.frombuffer(blob, "<f8", count=math.prod(shape), offset=offset)
         if not np.all(np.isfinite(values)):
             raise serial.FormatError(f"tensor {name!r} holds a value that is not finite")
         # astype copies, so the parameter is writable and owns its memory
         params[name] = Tensor(values.reshape(shape).astype(np.float64), requires_grad=True)
-    if params.keys() != shapes.keys():
-        missing = sorted(shapes.keys() - params.keys())
-        raise serial.FormatError(f"missing tensors: {missing[:3]}...")
-    if not reader.done():
-        raise serial.FormatError("trailing bytes after last tensor")
-    return Model(spec, {name: params[name] for name in shapes})
+        offset += values.nbytes
+    return Model(spec, params)

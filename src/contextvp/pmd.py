@@ -73,10 +73,11 @@ item of its node's task list, so it runs in the calling thread: only a
 thread outside the pool hands the pool work, and no pool task ever waits
 on another.
 
-Blending projects the concatenated states with `pointwise`, the 1x1
-convolution the model's head also uses: weighted mode with its
-[5*N1, N2] weight, uniform mode with its [N1, N2] weight tiled five times
-along rows, which equals summing the five directions and projecting.
+Blending is a 1x1 `Tape.conv2d` of the concatenated states, as the
+model's head is, with the block's weight as stored: weighted mode's
+[1, 1, 5*N1, N2] kernel, or uniform mode's [1, 1, N1, N2] kernel tiled
+five times along its input-channel axis, which equals summing the five
+directions and projecting.
 """
 
 from __future__ import annotations
@@ -152,9 +153,10 @@ class PMDUnit:
 class BlendBlock:
     """Pointwise combiner of the five directional state cuboids.
 
-    weight is [N1, N2] in uniform mode and [5*N1, N2] in weighted mode;
-    bias is [N2]. The combination is linear: no activation or
-    normalization follows the projection.
+    weight is the 1x1 kernel the blend convolves with: [1, 1, N1, N2] in
+    uniform mode and [1, 1, 5*N1, N2] in weighted mode; bias is [N2]. The
+    combination is linear: no activation or normalization follows the
+    projection.
     """
 
     mode: str
@@ -164,17 +166,16 @@ class BlendBlock:
     def __post_init__(self):
         if self.mode not in BLEND_MODES:
             raise ValueError(f"blend mode {self.mode!r} not in {BLEND_MODES}")
-        if self.weight.data.ndim != 2:
-            raise ShapeError("blend weight must be a matrix")
-        if self.mode == "weighted" and self.weight.shape[0] % len(DIRECTIONS) != 0:
+        if self.weight.data.ndim != 4 or self.weight.shape[:2] != (1, 1):
+            raise ShapeError(f"blend weight must be a 1x1 kernel, got shape {self.weight.shape}")
+        rows, n2 = self.weight.shape[2:]
+        if self.mode == "weighted" and rows % len(DIRECTIONS) != 0:
             raise ShapeError(
-                f"weighted blend weight first extent {self.weight.shape[0]} "
-                f"is not a multiple of {len(DIRECTIONS)}"
+                f"weighted blend weight has {rows} input channels, "
+                f"not a multiple of {len(DIRECTIONS)}"
             )
-        if self.bias.shape != (self.weight.shape[1],):
-            raise ShapeError(
-                f"blend bias shape {self.bias.shape} != ({self.weight.shape[1]},)"
-            )
+        if self.bias.shape != (n2,):
+            raise ShapeError(f"blend bias shape {self.bias.shape} != ({n2},)")
 
 
 class _Sweep:
@@ -449,27 +450,21 @@ def pmd_scan(tape: Tape, unit: PMDUnit, cuboid: Tensor, direction: str) -> Tenso
     return pmd_layer(tape, {direction: unit}, cuboid)
 
 
-def pointwise(tape: Tape, x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """1x1 convolution of x [..., A, B, N1] over its channel axis, with
-    weight [N1, N2] and bias [N2]."""
-    return tape.conv2d(x, tape.reshape(weight, (1, 1) + weight.shape), bias)
-
-
 def blend(tape: Tape, states: Tensor, block: BlendBlock) -> Tensor:
     """Project the directional states, concatenated in DIRECTIONS order
-    ([..., 5*N1], as `pmd_layer` returns them), pointwise to [..., N2].
+    ([..., 5*N1], as `pmd_layer` returns them), pointwise to [..., N2]:
+    a 1x1 convolution with the block's weight.
 
-    Weighted mode projects with its [5*N1, N2] weight. Uniform mode tiles
-    its [N1, N2] weight five times along rows, which is the same as summing
-    the five directions and projecting with it.
+    Weighted mode convolves with its [1, 1, 5*N1, N2] weight. Uniform mode
+    tiles its [1, 1, N1, N2] weight five times along the input channels,
+    which is the same as summing the five directions and projecting with it.
     """
     weight = block.weight
     if block.mode == "uniform":
-        weight = tape.concat([weight] * len(DIRECTIONS), axis=0)
-    if weight.shape[0] != states.data.shape[-1]:
+        weight = tape.concat([weight] * len(DIRECTIONS), axis=2)
+    if weight.shape[2] != states.data.shape[-1]:
         raise ShapeError(
-            f"{block.mode} blend weight gives {weight.shape[0]} rows, states have "
+            f"{block.mode} blend weight gives {weight.shape[2]} rows, states have "
             f"{states.data.shape[-1]} channels"
         )
-    return pointwise(tape, states, weight, block.bias)
-
+    return tape.conv2d(states, weight, block.bias)

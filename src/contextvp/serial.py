@@ -19,10 +19,6 @@ class TruncatedFileError(FormatError):
     pass
 
 
-class NameCollisionError(FormatError):
-    pass
-
-
 class DimOverflowError(FormatError):
     pass
 

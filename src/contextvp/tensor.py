@@ -248,7 +248,8 @@ class Tape:
 
         return self.record("index", (a,), out, backward)
 
-    # unused by the model; the benchmark tracer patches it by name
+    # unused by the model; tests/oracles.py stacks plane states with it, and
+    # the benchmark tracer patches it by name
     def stack(self, tensors, axis: int) -> Tensor:
         tensors = tuple(tensors)
         if not tensors:
@@ -283,6 +284,7 @@ class Tape:
 
         return self.record("slice", (a,), out, backward)
 
+    # unused by the model; the benchmark tracer patches it by name
     def reshape(self, a: Tensor, shape) -> Tensor:
         shape = tuple(int(s) for s in shape)
         old = a.data.shape

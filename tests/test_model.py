@@ -81,6 +81,9 @@ class TestBuild:
             ModelSpec(layers=[(8.7, 8)])
         with pytest.raises(TypeError):
             ModelSpec(layers=[(2, 2), (2, 2)], skip_pairs=[(1.5, 1)])
+        with pytest.raises(ValueError, match="n1 == n2"):
+            # a baseline layer has no blend to use a separate n2
+            ModelSpec(kind="convlstm_baseline", layers=[(8, 3), (8, 99)])
 
     def test_unit_tensors_are_gate_stacked(self):
         # three tensors per unit; each gate's kernel is its own Xavier draw,
@@ -122,8 +125,8 @@ class TestForward:
         plane = Tensor(frames[0])  # identical [1,1,C] plane for every direction
         states = [pmd_step(tape, layer.units[d], plane)[1] for d in DIRECTIONS]
         vec = np.concatenate([s.data[0, 0] for s in states])
-        blended = vec @ layer.blend_block.weight.data + layer.blend_block.bias.data
-        logits = blended @ model.head_weight.data + model.head_bias.data
+        blended = vec @ layer.blend_block.weight.data[0, 0] + layer.blend_block.bias.data
+        logits = blended @ model.head_weight.data[0, 0] + model.head_bias.data
         ref = 1.0 / (1.0 + np.exp(-logits))
         np.testing.assert_allclose(got[0, 0], ref, atol=1e-12)
 
@@ -236,9 +239,11 @@ class TestTraining:
         tape = Tape()
         pred = forward_cuboid(tape, model, Tensor(rng.uniform(size=(4, 10, 16, 16, 1))))
         combined_loss(tape, Tensor(rng.uniform(size=(4, 16, 16, 1))), pred, LossSpec())
-        # a scan node and a blend (weight reshape, conv2d) per layer, two skip
-        # concats, the head (index, reshape, conv2d, sigmoid), 21 loss nodes
-        assert len(tape.nodes) <= 39
+        # a scan node and a blend conv2d per layer, two skip concats, the
+        # head (index, conv2d, sigmoid), 21 loss nodes; blend and head
+        # weights are stored as the 1x1 kernels they convolve with
+        assert len(tape.nodes) <= 34
+        assert not [n for n in tape.nodes if n.kind == "reshape"]
         # the cuboid, then kx, ks and b for each of the five directions
         layer_nodes = [n for n in tape.nodes if n.kind == "pmd_layer"]
         assert [len(n.inputs) for n in layer_nodes] == [1 + 5 * 3] * 4
@@ -415,15 +420,22 @@ class TestSerialization:
         untied = ModelSpec(layers=[(3, 3)], dws=False)
         assert len(model_bytes(build(tied, 0))) < len(model_bytes(build(untied, 0)))
 
-    @pytest.mark.parametrize("spec, digest", [
-        (ModelSpec(), "6662ed7441bbf1042d8214b5468eee2614cb6ef86856f47a8bb4ba639a82b75e"),
+    @pytest.mark.parametrize("spec, values_digest, file_digest", [
+        (ModelSpec(),
+         "87db221765201275f92f1f4ec2a12111d3d8ae132bbdce8d8af10ed638058169",
+         "397e06b6d4526bb7b8b136bf63e26c74b706f9221959e6efaac4c03a119cb6a1"),
         (ModelSpec.convlstm_baseline(width=10),
-         "abef9b66b29e152cfb9eea7b36567baccdb5687b7b4624343f3afb0dc961aa95"),
+         "51f88f7504db0a0ec5c1451c00ebfb0412e3c292c4e2f4d3d2b9561b2ff30f70",
+         "22dec03f1b17f8385ece9d2776ff0822018efd406445d19de68680d6c92206cf"),
     ], ids=["default", "baseline-width-10"])
-    def test_parameter_bytes_pinned(self, spec, digest):
-        # any change to the draw order, the names or the file layout moves
-        # these, and files written before it would no longer load the same
-        assert hashlib.sha256(model_bytes(build(spec, 0))).hexdigest() == digest
+    def test_parameter_bytes_pinned(self, spec, values_digest, file_digest):
+        # the values digest pins the draw alone; the file digest also pins
+        # the layout, and a change to either means files written before it
+        # no longer load the same
+        model = build(spec, 0)
+        values = b"".join(t.data.astype("<f8").tobytes() for t in model.parameters.values())
+        assert hashlib.sha256(values).hexdigest() == values_digest
+        assert hashlib.sha256(model_bytes(model)).hexdigest() == file_digest
 
     def test_load_does_not_build(self, tmp_path, monkeypatch):
         model = build(ModelSpec(layers=[(3, 3), (2, 2)]), 23)
@@ -463,7 +475,7 @@ class TestSerialization:
         assert model_bytes(loaded) == model_bytes(model)
         assert model_bytes(loaded) != path.read_bytes()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_file_rejected(self, tmp_path, version):
         blob = bytearray(model_bytes(build(tiny_spec(), 0)))
         blob[4:8] = version.to_bytes(4, "little")
@@ -477,23 +489,18 @@ def tiny_spec_json(**changes):
     return json.dumps({**tiny_spec().to_dict(), **changes}).encode()
 
 
-def load_cvpm(tmp_path, spec_json: bytes, tensors=()):
-    """Load a model file made from raw parts: a spec blob, then tensors as
-    (name bytes, shape) headers with no values. Zero bytes follow, as many
-    as the tiny spec's values take, so only the part under test is wrong."""
+def load_cvpm(tmp_path, spec_json: bytes, n_values: int | None = None):
+    """Load a model file made from raw parts: a spec blob, then `n_values`
+    zero float64 values, by default as many as the tiny spec takes, so only
+    the part under test is wrong."""
+    if n_values is None:
+        n_values = count_from_spec(tiny_spec())
     w = serial.Writer()
     w.raw(MODEL_MAGIC)
     w.u32(MODEL_VERSION)
     w.u64(len(spec_json))
     w.raw(spec_json)
-    w.u64(len(tensors))
-    for name, shape in tensors:
-        w.u32(len(name))
-        w.raw(name)
-        w.u32(len(shape))
-        for extent in shape:
-            w.u64(extent)
-    w.raw(bytes(8 * count_from_spec(tiny_spec())))
+    w.raw(bytes(8 * n_values))
     path = tmp_path / "m.cvpm"
     path.write_bytes(w.getvalue())
     return load_model(str(path))
@@ -513,22 +520,21 @@ class TestMalformedModelFiles:
         b"[" * 100_000 + b"]" * 100_000,
         tiny_spec_json(dws="no"),
         tiny_spec_json(layers=[[2.5, 2]]),
+        tiny_spec_json(kind="convlstm_baseline", layers=[[2, 3]]),
     ], ids=["corrupt-json", "not-utf8", "not-an-object", "unknown-key", "even-kernel",
             "float-kernel", "text-width", "nested-past-recursion-limit", "dws-string",
-            "float-width"])
+            "float-width", "baseline-n1-n2"])
     def test_bad_spec(self, tmp_path, spec_json):
         with pytest.raises(serial.FormatError, match="invalid model spec"):
             load_cvpm(tmp_path, spec_json)
 
-    def test_tensor_name_not_utf8(self, tmp_path):
-        with pytest.raises(serial.FormatError, match="UTF-8"):
-            load_cvpm(tmp_path, tiny_spec_json(), [(b"\xff\xfe", (1,))])
+    def test_payload_one_value_short(self, tmp_path):
+        with pytest.raises(serial.TruncatedFileError, match="float64 values"):
+            load_cvpm(tmp_path, tiny_spec_json(), count_from_spec(tiny_spec()) - 1)
 
-    @pytest.mark.parametrize("shape", [(3, 3, 1, 7), (2**62,), ()],
-                             ids=["other", "2^62", "scalar"])
-    def test_tensor_shape_mismatch(self, tmp_path, shape):
-        with pytest.raises(serial.FormatError, match="spec expects"):
-            load_cvpm(tmp_path, tiny_spec_json(), [(b"layer1.t-.kx", shape)])
+    def test_payload_one_value_over(self, tmp_path):
+        with pytest.raises(serial.FormatError, match="trailing"):
+            load_cvpm(tmp_path, tiny_spec_json(), count_from_spec(tiny_spec()) + 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_parameter_value(self, tmp_path, bad):

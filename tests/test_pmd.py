@@ -431,7 +431,7 @@ class TestBlending:
     def test_uniform_identity_weights(self):
         rng = np.random.default_rng(11)
         s = Tensor(rng.uniform(size=(2, 3, 3, 4)))
-        block = BlendBlock("uniform", Tensor(np.eye(4)), Tensor(np.zeros(4)))
+        block = BlendBlock("uniform", Tensor(np.eye(4)[None, None]), Tensor(np.zeros(4)))
         out = blend(Tape(), concat_states([s] * 5), block)
         np.testing.assert_allclose(out.data, 5 * s.data, atol=1e-12)
 
@@ -439,7 +439,7 @@ class TestBlending:
         rng = np.random.default_rng(12)
         v = Tensor(rng.uniform(size=(2, 3, 3, 4)))
         zeros = [Tensor(np.zeros((2, 3, 3, 4))) for _ in range(4)]
-        block = BlendBlock("uniform", Tensor(np.eye(4)), Tensor(np.zeros(4)))
+        block = BlendBlock("uniform", Tensor(np.eye(4)[None, None]), Tensor(np.zeros(4)))
         out = blend(Tape(), concat_states([v] + zeros), block)
         np.testing.assert_allclose(out.data, v.data, atol=1e-15)
 
@@ -448,7 +448,7 @@ class TestBlending:
         s_list = make_states(rng)
         w = rng.uniform(-1, 1, size=(4, 3))
         b = rng.uniform(-1, 1, size=3)
-        block = BlendBlock("uniform", Tensor(w), Tensor(b))
+        block = BlendBlock("uniform", Tensor(w[None, None]), Tensor(b))
         out = blend(Tape(), concat_states(s_list), block)
         ref = pixel_blend([s.data for s in s_list], w, b, weighted=False)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
@@ -458,7 +458,7 @@ class TestBlending:
         s_list = make_states(rng)
         w = rng.uniform(-1, 1, size=(20, 3))
         b = rng.uniform(-1, 1, size=3)
-        block = BlendBlock("weighted", Tensor(w), Tensor(b))
+        block = BlendBlock("weighted", Tensor(w[None, None]), Tensor(b))
         out = blend(Tape(), concat_states(s_list), block)
         ref = pixel_blend([s.data for s in s_list], w, b, weighted=True)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
@@ -469,10 +469,10 @@ class TestBlending:
         v = rng.uniform(-1, 1, size=(4, 3))
         b = rng.uniform(-1, 1, size=3)
         states = concat_states(s_list)
-        uniform = blend(Tape(), states, BlendBlock("uniform", Tensor(v), Tensor(b)))
+        uniform = blend(Tape(), states, BlendBlock("uniform", Tensor(v[None, None]), Tensor(b)))
         weighted = blend(
             Tape(), states,
-            BlendBlock("weighted", Tensor(np.vstack([v] * 5)), Tensor(b)),
+            BlendBlock("weighted", Tensor(np.vstack([v] * 5)[None, None]), Tensor(b)),
         )
         np.testing.assert_allclose(weighted.data, uniform.data, atol=1e-12)
 
@@ -481,7 +481,7 @@ class TestBlending:
         s_list = make_states(rng)
         w = np.zeros((20, 3))
         w[:4] = rng.uniform(-1, 1, size=(4, 3))  # only the t- block
-        block = BlendBlock("weighted", Tensor(w), Tensor(np.zeros(3)))
+        block = BlendBlock("weighted", Tensor(w[None, None]), Tensor(np.zeros(3)))
         out_full = blend(Tape(), concat_states(s_list), block)
         zeroed = [s_list[0]] + [Tensor(np.zeros_like(s.data)) for s in s_list[1:]]
         out_zeroed = blend(Tape(), concat_states(zeroed), block)
@@ -493,23 +493,28 @@ class TestBlending:
         # one in a weighted block covers a fifth of them
         rng = np.random.default_rng(17)
         states = concat_states(make_states(rng))
-        u_block = BlendBlock("uniform", Tensor(np.zeros((20, 4))), Tensor(np.zeros(4)))
-        w_block = BlendBlock("weighted", Tensor(np.zeros((5, 4))), Tensor(np.zeros(4)))
+        u_block = BlendBlock("uniform", Tensor(np.zeros((1, 1, 20, 4))), Tensor(np.zeros(4)))
+        w_block = BlendBlock("weighted", Tensor(np.zeros((1, 1, 5, 4))), Tensor(np.zeros(4)))
         with pytest.raises(ShapeError, match="uniform blend weight"):
             blend(Tape(), states, u_block)
         with pytest.raises(ShapeError, match="weighted blend weight"):
             blend(Tape(), states, w_block)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 3, 4, 3)], ids=["matrix", "3x3"])
+    def test_weight_must_be_a_1x1_kernel(self, shape):
+        with pytest.raises(ShapeError, match="1x1 kernel"):
+            BlendBlock("uniform", Tensor(np.zeros(shape)), Tensor(np.zeros(3)))
 
     def test_output_shape_both_modes(self):
         rng = np.random.default_rng(18)
         states = concat_states(make_states(rng))
         u = blend(
             Tape(), states,
-            BlendBlock("uniform", Tensor(rng.uniform(size=(4, 6))), Tensor(np.zeros(6))),
+            BlendBlock("uniform", Tensor(rng.uniform(size=(1, 1, 4, 6))), Tensor(np.zeros(6))),
         )
         w = blend(
             Tape(), states,
-            BlendBlock("weighted", Tensor(rng.uniform(size=(20, 6))), Tensor(np.zeros(6))),
+            BlendBlock("weighted", Tensor(rng.uniform(size=(1, 1, 20, 6))), Tensor(np.zeros(6))),
         )
         assert u.data.shape == (2, 3, 3, 6)
         assert w.data.shape == (2, 3, 3, 6)
@@ -589,7 +594,7 @@ class TestDirectionalWeightSharing:
             for (_, a), (_, b) in zip(units[src].fields(), units[dst].fields()):
                 b.data[...] = a.data
         frames = Tensor(rng.uniform(size=(1, 2, 4, 4, 1)))
-        block = BlendBlock("uniform", Tensor(np.eye(2)), Tensor(np.zeros(2)))
+        block = BlendBlock("uniform", Tensor(np.eye(2)[None, None]), Tensor(np.zeros(2)))
         tied = {**units, "h+": units["h-"], "w+": units["w-"]}
         before = layer_forward(Tape(), units, frames, block).data
         after = layer_forward(Tape(), tied, frames, block).data
