@@ -159,7 +159,3 @@ def xavier_uniform(shape, fan_in: int, fan_out: int, rng: SplitMix64) -> np.ndar
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     flat = rng.next_floats(int(np.prod(shape)))
     return ((2.0 * flat - 1.0) * bound).reshape(shape)
-
-
-def xavier_conv_kernel(k: int, cin: int, cout: int, rng: SplitMix64) -> np.ndarray:
-    return xavier_uniform((k, k, cin, cout), k * k * cin, k * k * cout, rng)

@@ -42,12 +42,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from contextvp import serial
-from contextvp.loss_optim import xavier_conv_kernel, xavier_uniform
+from contextvp.loss_optim import xavier_uniform
 from contextvp.pmd import (
-    BLEND_MODES,
     DIRECTIONS,
     GATES,
-    BlendBlock,
     PMDUnit,
     blend,
     pmd_layer,
@@ -63,6 +61,7 @@ MODEL_MAGIC = b"CVPM"
 MODEL_VERSION = 4
 
 KINDS = ("contextvp", "convlstm_baseline")
+BLEND_MODES = ("uniform", "weighted")
 
 
 @dataclass
@@ -123,10 +122,6 @@ class ModelSpec:
         }
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
-    @classmethod
     def convlstm_baseline(cls, width: int = 16, n_layers: int = 20, **kw):
         kw.setdefault("skip_pairs", [(1, 3), (2, 4)] if n_layers >= 4 else [])
         return cls(kind="convlstm_baseline", layers=[(width, width)] * n_layers,
@@ -173,19 +168,21 @@ def param_shapes(spec: ModelSpec) -> dict:
 
 class Layer:
     """`unit_groups` maps each parameter group to its unit; `units` maps
-    each scanned direction, in DIRECTIONS order, to its group's unit."""
+    each scanned direction, in DIRECTIONS order, to its group's unit.
+    `blend` is the layer's (blend.weight, blend.bias) pair of parameter
+    tensors, as `pmd.blend` takes them, or None for a baseline layer."""
 
-    def __init__(self, unit_groups: dict, units: dict, blend_block=None):
+    def __init__(self, unit_groups: dict, units: dict, blend=None):
         self.unit_groups = unit_groups
         self.units = units
-        self.blend_block = blend_block
+        self.blend = blend
 
 
 class Model:
     """Immutable during inference; training mutates parameter data.
 
     `parameters` is the ordered name -> Tensor map of `param_shapes(spec)`;
-    the layers' units and blend blocks hold those same tensors.
+    the layers' units and blend pairs hold those same tensors.
     """
 
     def __init__(self, spec: ModelSpec, parameters: dict):
@@ -199,11 +196,10 @@ class Model:
                 g: PMDUnit(*(parameters[f"{pre}{g}.{f}"] for f in ("kx", "ks", "b")))
                 for g in dict.fromkeys(groups.values())
             }
-            block = None
+            pair = None
             if pre + "blend.weight" in parameters:
-                block = BlendBlock(spec.blend_mode, parameters[pre + "blend.weight"],
-                                   parameters[pre + "blend.bias"])
-            self.layers.append(Layer(units, {d: units[g] for d, g in groups.items()}, block))
+                pair = (parameters[pre + "blend.weight"], parameters[pre + "blend.bias"])
+            self.layers.append(Layer(units, {d: units[g] for d, g in groups.items()}, pair))
         self.head_weight = parameters["head.weight"]
         self.head_bias = parameters["head.bias"]
 
@@ -225,7 +221,9 @@ def build(spec: ModelSpec, seed: int) -> Model:
             k, _, fan_in, stacked = shape
             ch = stacked // len(GATES)
             data = np.concatenate(
-                [xavier_conv_kernel(k, fan_in, ch, rng) for _ in GATES], axis=3
+                [xavier_uniform((k, k, fan_in, ch), k * k * fan_in, k * k * ch, rng)
+                 for _ in GATES],
+                axis=3,
             )
         elif name.endswith(".weight"):
             data = xavier_uniform(shape, *shape[2:], rng)
@@ -243,9 +241,11 @@ def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
     spec = model.spec
     if x.data.ndim != 5:
         raise ShapeError(f"input must be [N, T, H, W, C], got rank {x.data.ndim}")
-    t_len = x.data.shape[1]
+    _, t_len, h, w, _ = x.data.shape
     if t_len < 1:
         raise ShapeError("input needs at least one frame")
+    if h < 1 or w < 1:
+        raise ShapeError(f"frames must have H, W >= 1, got {h}x{w}")
     if x.data.shape[-1] != spec.in_channels:
         raise ShapeError(
             f"input has {x.data.shape[-1]} channels, spec expects {spec.in_channels}"
@@ -255,8 +255,8 @@ def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
     cur = x
     for idx, layer in enumerate(model.layers, start=1):
         out = pmd_layer(tape, layer.units, cur)
-        if layer.blend_block is not None:
-            out = blend(tape, out, layer.blend_block)
+        if layer.blend is not None:
+            out = blend(tape, out, *layer.blend)
         outs.append(out)
         carry = out
         for src, dst in spec.skip_pairs:
@@ -360,7 +360,7 @@ def load_model(path: str) -> Model:
         raise serial.FormatError(f"unsupported model version {version}")
     spec_blob = reader.take(reader.u64())
     try:
-        spec = ModelSpec.from_dict(json.loads(spec_blob.decode()))
+        spec = ModelSpec(**json.loads(spec_blob.decode()))
         shapes = param_shapes(spec)
     except (ValueError, TypeError, RecursionError) as exc:
         raise serial.FormatError(f"invalid model spec: {exc}") from exc

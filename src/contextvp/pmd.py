@@ -48,9 +48,9 @@ The groups are independent given the layer input, so they can run
 concurrently, as in PyraMiD-LSTM (Stollenga et al. 2015,
 arXiv:1506.07452). A recorded node (the tape records and some input needs
 a gradient) runs its groups' forward and backward on a module-level pool
-of min(len(DIRECTIONS), usable cores) threads, created on first use;
-numpy releases the interpreter lock inside its array loops and BLAS
-calls. An unrecorded node, as in inference, runs them in the calling
+of min(len(DIRECTIONS), usable cores) threads, which starts them on its
+first task; numpy releases the interpreter lock inside its array loops
+and BLAS calls. An unrecorded node, as in inference, runs them in the calling
 thread: at batch 1 the pool gave no speed-up and raised peak memory.
 Each group's arithmetic does not depend on the thread that runs it, and
 the results are combined in a fixed order, so values and gradients are
@@ -74,16 +74,16 @@ thread outside the pool hands the pool work, and no pool task ever waits
 on another.
 
 Blending is a 1x1 `Tape.conv2d` of the concatenated states, as the
-model's head is, with the block's weight as stored: weighted mode's
-[1, 1, 5*N1, N2] kernel, or uniform mode's [1, 1, N1, N2] kernel tiled
-five times along its input-channel axis, which equals summing the five
-directions and projecting.
+model's head is, with the layer's weight and bias as stored. The
+weight's row count selects the mode: a [1, 1, 5*N1, N2] kernel, one row
+per state channel, is used as it is (weighted); a [1, 1, N1, N2] kernel
+is tiled five times along its input-channel axis (uniform), which equals
+summing the five directions and projecting.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -103,13 +103,10 @@ _SCAN = {
     "w-": (3, True),
 }
 
-BLEND_MODES = ("uniform", "weighted")
-
 # threads a recorded pmd_layer node spreads its directions over
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 _THREADS = min(len(DIRECTIONS), _CORES or 1)
-_pool = None
-_pool_lock = threading.Lock()
+_pool = ThreadPoolExecutor(_THREADS, thread_name_prefix="pmd")
 
 
 @dataclass
@@ -147,35 +144,6 @@ class PMDUnit:
     @property
     def hidden(self):
         return self.kx.shape[3] // len(GATES)
-
-
-@dataclass
-class BlendBlock:
-    """Pointwise combiner of the five directional state cuboids.
-
-    weight is the 1x1 kernel the blend convolves with: [1, 1, N1, N2] in
-    uniform mode and [1, 1, 5*N1, N2] in weighted mode; bias is [N2]. The
-    combination is linear: no activation or normalization follows the
-    projection.
-    """
-
-    mode: str
-    weight: Tensor
-    bias: Tensor
-
-    def __post_init__(self):
-        if self.mode not in BLEND_MODES:
-            raise ValueError(f"blend mode {self.mode!r} not in {BLEND_MODES}")
-        if self.weight.data.ndim != 4 or self.weight.shape[:2] != (1, 1):
-            raise ShapeError(f"blend weight must be a 1x1 kernel, got shape {self.weight.shape}")
-        rows, n2 = self.weight.shape[2:]
-        if self.mode == "weighted" and rows % len(DIRECTIONS) != 0:
-            raise ShapeError(
-                f"weighted blend weight has {rows} input channels, "
-                f"not a multiple of {len(DIRECTIONS)}"
-            )
-        if self.bias.shape != (n2,):
-            raise ShapeError(f"blend bias shape {self.bias.shape} != ({n2},)")
 
 
 class _Sweep:
@@ -357,20 +325,11 @@ def _group_backward(group: list, batches: list, x, out, g, need_x: bool):
     return grads, gx if need_x else None
 
 
-def _get_pool() -> ThreadPoolExecutor:
-    """The shared pool of _THREADS threads, created on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_THREADS, thread_name_prefix="pmd")
-    return _pool
-
-
 def _start(fn, *args, parallel: bool) -> Future:
     """fn(*args) as a future: submitted to the shared pool when
     `parallel`, else run now in this thread."""
     if parallel:
-        return _get_pool().submit(fn, *args)
+        return _pool.submit(fn, *args)
     done = Future()
     done.set_result(fn(*args))
     return done
@@ -450,21 +409,24 @@ def pmd_scan(tape: Tape, unit: PMDUnit, cuboid: Tensor, direction: str) -> Tenso
     return pmd_layer(tape, {direction: unit}, cuboid)
 
 
-def blend(tape: Tape, states: Tensor, block: BlendBlock) -> Tensor:
+def blend(tape: Tape, states: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Project the directional states, concatenated in DIRECTIONS order
     ([..., 5*N1], as `pmd_layer` returns them), pointwise to [..., N2]:
-    a 1x1 convolution with the block's weight.
+    a 1x1 convolution with the 1x1 kernel `weight` and bias [N2].
 
-    Weighted mode convolves with its [1, 1, 5*N1, N2] weight. Uniform mode
-    tiles its [1, 1, N1, N2] weight five times along the input channels,
-    which is the same as summing the five directions and projecting with it.
+    A weight with one row per state channel, [1, 1, 5*N1, N2], is used as
+    stored (weighted mode). One with N1 rows is tiled five times along its
+    input channels (uniform mode), which is the same as summing the five
+    directions and projecting with it. Any other shape raises ShapeError.
     """
-    weight = block.weight
-    if block.mode == "uniform":
+    if weight.data.ndim != 4 or weight.shape[:2] != (1, 1):
+        raise ShapeError(f"blend weight must be a 1x1 kernel, got shape {weight.shape}")
+    rows, channels = weight.shape[2], states.data.shape[-1]
+    if rows * len(DIRECTIONS) == channels:
         weight = tape.concat([weight] * len(DIRECTIONS), axis=2)
-    if weight.shape[2] != states.data.shape[-1]:
+    elif rows != channels:
         raise ShapeError(
-            f"{block.mode} blend weight gives {weight.shape[2]} rows, states have "
-            f"{states.data.shape[-1]} channels"
+            f"blend weight has {rows} rows, states have {channels} channels: "
+            "weighted mode needs as many rows, uniform mode a fifth as many"
         )
-    return tape.conv2d(states, weight, block.bias)
+    return tape.conv2d(states, weight, bias)

@@ -13,7 +13,7 @@ from contextvp.loss_optim import (
     LossSpec,
     adam_step,
     combined_loss,
-    xavier_conv_kernel,
+    xavier_uniform,
 )
 from contextvp.prng import SplitMix64
 from contextvp.tensor import Tensor, Tape, ShapeError, finite_diff_check
@@ -93,7 +93,8 @@ class TestBuild:
         rng = SplitMix64(5)
         for stacked, fan_in in ((unit.kx, 1), (unit.ks, 3)):
             for part in np.split(stacked.data, len(GATES), axis=3):
-                np.testing.assert_array_equal(part, xavier_conv_kernel(3, fan_in, 3, rng))
+                want = xavier_uniform((3, 3, fan_in, 3), 9 * fan_in, 9 * 3, rng)
+                np.testing.assert_array_equal(part, want)
         assert unit.b.shape == (len(GATES) * 3,)
         assert len(build(ModelSpec(), 0).parameters) == 46
         assert len(build(ModelSpec.convlstm_baseline(width=10), 0).parameters) == 62
@@ -125,7 +126,8 @@ class TestForward:
         plane = Tensor(frames[0])  # identical [1,1,C] plane for every direction
         states = [pmd_step(tape, layer.units[d], plane)[1] for d in DIRECTIONS]
         vec = np.concatenate([s.data[0, 0] for s in states])
-        blended = vec @ layer.blend_block.weight.data[0, 0] + layer.blend_block.bias.data
+        weight, bias = layer.blend
+        blended = vec @ weight.data[0, 0] + bias.data
         logits = blended @ model.head_weight.data[0, 0] + model.head_bias.data
         ref = 1.0 / (1.0 + np.exp(-logits))
         np.testing.assert_allclose(got[0, 0], ref, atol=1e-12)
@@ -165,8 +167,16 @@ class TestForward:
 
     def test_empty_time_axis_rejected(self):
         model = build(tiny_spec(), 0)
-        with pytest.raises(Exception):
+        with pytest.raises(ShapeError, match="at least one frame"):
             forward_predict(model, np.zeros((0, 4, 4, 1)))
+
+    @pytest.mark.parametrize("shape", [(3, 0, 4, 1), (3, 4, 0, 1)], ids=["H", "W"])
+    def test_empty_plane_rejected(self, shape):
+        # before any scan: the scans' patch views fail on an empty plane
+        # with numpy's own ValueError
+        model = build(tiny_spec(), 0)
+        with pytest.raises(ShapeError, match="H, W >= 1"):
+            forward_predict(model, np.zeros(shape))
 
     def test_forward_cuboid_takes_batches_only(self):
         model = build(tiny_spec(), 0)

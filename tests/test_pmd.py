@@ -12,7 +12,6 @@ from contextvp.tensor import Tensor, Tape, ShapeError
 from contextvp.pmd import (
     DIRECTIONS,
     GATES,
-    BlendBlock,
     PMDUnit,
     blend,
     pmd_layer,
@@ -313,8 +312,6 @@ class TestFusedLayer:
                 x = Tensor(rng.uniform(size=shape), requires_grad=True)
                 weights = rng.uniform(-1, 1, size=shape[:-1] + (3 * len(units),))
                 pooled, pooled_grads = run_with_grads(pmd_layer, units, x, weights)
-                if layer == "dws" or n > 1:
-                    assert pmd._pool is not None
                 calling, _ = run_with_grads(pmd_layer, units, x, weights, recording=False)
                 np.testing.assert_array_equal(pooled, calling)
                 monkeypatch.setattr(pmd, "_THREADS", 1)
@@ -356,8 +353,7 @@ class TestFusedLayer:
 
     def test_concurrent_callers_match_calling_thread(self, monkeypatch):
         # six callers, each with its own one-group, two-group or DWS layer,
-        # share the lazily created pool of two, then four threads, forward
-        # and backward
+        # share a pool of two, then four threads, forward and backward
         rng = np.random.default_rng(34)
         shape = CUBOIDS[1]
         calls = []
@@ -372,16 +368,17 @@ class TestFusedLayer:
 
         for threads in (2, 4):
             monkeypatch.setattr(pmd, "_THREADS", threads)
-            monkeypatch.setattr(pmd, "_pool", None)
-            want = [run(*call) for call in calls]
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                with ThreadPoolExecutor(len(calls)) as callers:
-                    futures = [callers.submit(run, *call) for call in calls]
-                    got = [f.result(timeout=120) for f in futures]
-            finally:
-                sys.setswitchinterval(interval)
+            with ThreadPoolExecutor(threads, thread_name_prefix="pmd") as pool:
+                monkeypatch.setattr(pmd, "_pool", pool)
+                want = [run(*call) for call in calls]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)
+                try:
+                    with ThreadPoolExecutor(len(calls)) as callers:
+                        futures = [callers.submit(run, *call) for call in calls]
+                        got = [f.result(timeout=120) for f in futures]
+                finally:
+                    sys.setswitchinterval(interval)
             for call, (g_out, g_grads), (w_out, w_grads) in zip(calls, got, want):
                 np.testing.assert_array_equal(g_out, w_out)
                 np.testing.assert_array_equal(g_out, run(*call, recording=False)[0])
@@ -431,16 +428,16 @@ class TestBlending:
     def test_uniform_identity_weights(self):
         rng = np.random.default_rng(11)
         s = Tensor(rng.uniform(size=(2, 3, 3, 4)))
-        block = BlendBlock("uniform", Tensor(np.eye(4)[None, None]), Tensor(np.zeros(4)))
-        out = blend(Tape(), concat_states([s] * 5), block)
+        out = blend(Tape(), concat_states([s] * 5), Tensor(np.eye(4)[None, None]),
+                    Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, 5 * s.data, atol=1e-12)
 
     def test_uniform_single_active_direction(self):
         rng = np.random.default_rng(12)
         v = Tensor(rng.uniform(size=(2, 3, 3, 4)))
         zeros = [Tensor(np.zeros((2, 3, 3, 4))) for _ in range(4)]
-        block = BlendBlock("uniform", Tensor(np.eye(4)[None, None]), Tensor(np.zeros(4)))
-        out = blend(Tape(), concat_states([v] + zeros), block)
+        out = blend(Tape(), concat_states([v] + zeros), Tensor(np.eye(4)[None, None]),
+                    Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, v.data, atol=1e-15)
 
     def test_uniform_matches_pixel_oracle(self):
@@ -448,8 +445,7 @@ class TestBlending:
         s_list = make_states(rng)
         w = rng.uniform(-1, 1, size=(4, 3))
         b = rng.uniform(-1, 1, size=3)
-        block = BlendBlock("uniform", Tensor(w[None, None]), Tensor(b))
-        out = blend(Tape(), concat_states(s_list), block)
+        out = blend(Tape(), concat_states(s_list), Tensor(w[None, None]), Tensor(b))
         ref = pixel_blend([s.data for s in s_list], w, b, weighted=False)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -458,8 +454,7 @@ class TestBlending:
         s_list = make_states(rng)
         w = rng.uniform(-1, 1, size=(20, 3))
         b = rng.uniform(-1, 1, size=3)
-        block = BlendBlock("weighted", Tensor(w[None, None]), Tensor(b))
-        out = blend(Tape(), concat_states(s_list), block)
+        out = blend(Tape(), concat_states(s_list), Tensor(w[None, None]), Tensor(b))
         ref = pixel_blend([s.data for s in s_list], w, b, weighted=True)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
@@ -469,11 +464,8 @@ class TestBlending:
         v = rng.uniform(-1, 1, size=(4, 3))
         b = rng.uniform(-1, 1, size=3)
         states = concat_states(s_list)
-        uniform = blend(Tape(), states, BlendBlock("uniform", Tensor(v[None, None]), Tensor(b)))
-        weighted = blend(
-            Tape(), states,
-            BlendBlock("weighted", Tensor(np.vstack([v] * 5)[None, None]), Tensor(b)),
-        )
+        uniform = blend(Tape(), states, Tensor(v[None, None]), Tensor(b))
+        weighted = blend(Tape(), states, Tensor(np.vstack([v] * 5)[None, None]), Tensor(b))
         np.testing.assert_allclose(weighted.data, uniform.data, atol=1e-12)
 
     def test_weighted_block_sparsity_ignores_spatial(self):
@@ -481,47 +473,43 @@ class TestBlending:
         s_list = make_states(rng)
         w = np.zeros((20, 3))
         w[:4] = rng.uniform(-1, 1, size=(4, 3))  # only the t- block
-        block = BlendBlock("weighted", Tensor(w[None, None]), Tensor(np.zeros(3)))
-        out_full = blend(Tape(), concat_states(s_list), block)
+        pair = (Tensor(w[None, None]), Tensor(np.zeros(3)))
+        out_full = blend(Tape(), concat_states(s_list), *pair)
         zeroed = [s_list[0]] + [Tensor(np.zeros_like(s.data)) for s in s_list[1:]]
-        out_zeroed = blend(Tape(), concat_states(zeroed), block)
+        out_zeroed = blend(Tape(), concat_states(zeroed), *pair)
         np.testing.assert_allclose(out_full.data, out_zeroed.data, atol=1e-15)
 
     def test_mode_mismatch_rejected(self):
-        # a weight sized for the other mode: a weighted-sized weight in a
-        # uniform block tiles to 5x the state channels, and a uniform-sized
-        # one in a weighted block covers a fifth of them
+        # the 20 state channels take a weight of 20 rows (weighted) or
+        # 4 rows (uniform); any other row count raises, 5 * 20 = 100 too
         rng = np.random.default_rng(17)
         states = concat_states(make_states(rng))
-        u_block = BlendBlock("uniform", Tensor(np.zeros((1, 1, 20, 4))), Tensor(np.zeros(4)))
-        w_block = BlendBlock("weighted", Tensor(np.zeros((1, 1, 5, 4))), Tensor(np.zeros(4)))
-        with pytest.raises(ShapeError, match="uniform blend weight"):
-            blend(Tape(), states, u_block)
-        with pytest.raises(ShapeError, match="weighted blend weight"):
-            blend(Tape(), states, w_block)
+        for rows in (1, 5, 8, 19, 21, 100):
+            with pytest.raises(ShapeError, match=f"{rows} rows, states have 20 channels"):
+                blend(Tape(), states, Tensor(np.zeros((1, 1, rows, 4))), Tensor(np.zeros(4)))
 
     @pytest.mark.parametrize("shape", [(4, 3), (3, 3, 4, 3)], ids=["matrix", "3x3"])
     def test_weight_must_be_a_1x1_kernel(self, shape):
+        states = concat_states(make_states(np.random.default_rng(19)))
         with pytest.raises(ShapeError, match="1x1 kernel"):
-            BlendBlock("uniform", Tensor(np.zeros(shape)), Tensor(np.zeros(3)))
+            blend(Tape(), states, Tensor(np.zeros(shape)), Tensor(np.zeros(3)))
+
+    def test_bias_must_match_weight_columns(self):
+        states = concat_states(make_states(np.random.default_rng(19)))
+        with pytest.raises(ShapeError, match="bias shape"):
+            blend(Tape(), states, Tensor(np.zeros((1, 1, 4, 3))), Tensor(np.zeros(4)))
 
     def test_output_shape_both_modes(self):
         rng = np.random.default_rng(18)
         states = concat_states(make_states(rng))
-        u = blend(
-            Tape(), states,
-            BlendBlock("uniform", Tensor(rng.uniform(size=(1, 1, 4, 6))), Tensor(np.zeros(6))),
-        )
-        w = blend(
-            Tape(), states,
-            BlendBlock("weighted", Tensor(rng.uniform(size=(1, 1, 20, 6))), Tensor(np.zeros(6))),
-        )
+        u = blend(Tape(), states, Tensor(rng.uniform(size=(1, 1, 4, 6))), Tensor(np.zeros(6)))
+        w = blend(Tape(), states, Tensor(rng.uniform(size=(1, 1, 20, 6))), Tensor(np.zeros(6)))
         assert u.data.shape == (2, 3, 3, 6)
         assert w.data.shape == (2, 3, 3, 6)
 
 
-def layer_forward(tape, units, cuboid, block):
-    return blend(tape, pmd_layer(tape, units, cuboid), block)
+def layer_forward(tape, units, cuboid, weight, bias):
+    return blend(tape, pmd_layer(tape, units, cuboid), weight, bias)
 
 
 def untied_copy_of(tied):
@@ -594,10 +582,10 @@ class TestDirectionalWeightSharing:
             for (_, a), (_, b) in zip(units[src].fields(), units[dst].fields()):
                 b.data[...] = a.data
         frames = Tensor(rng.uniform(size=(1, 2, 4, 4, 1)))
-        block = BlendBlock("uniform", Tensor(np.eye(2)[None, None]), Tensor(np.zeros(2)))
+        pair = (Tensor(np.eye(2)[None, None]), Tensor(np.zeros(2)))
         tied = {**units, "h+": units["h-"], "w+": units["w-"]}
-        before = layer_forward(Tape(), units, frames, block).data
-        after = layer_forward(Tape(), tied, frames, block).data
+        before = layer_forward(Tape(), units, frames, *pair).data
+        after = layer_forward(Tape(), tied, frames, *pair).data
         np.testing.assert_array_equal(before, after)
 
     def test_incompatible_shapes_rejected(self):

@@ -31,3 +31,26 @@ class TestNextFloats:
     def test_range(self):
         draws = SplitMix64(7).next_floats(10000)
         assert draws.min() >= 0.0 and draws.max() < 1.0
+
+
+class TestShuffle:
+    def test_pinned_permutation(self):
+        # Fisher-Yates from the top index down, j = next_u64() % (i + 1)
+        items = list(range(10))
+        SplitMix64(42).shuffle(items)
+        assert items == [0, 9, 5, 8, 6, 4, 7, 2, 1, 3]
+
+    @pytest.mark.parametrize("seed", [0, 123, WRAPPING_SEED])
+    def test_result_is_a_permutation(self, seed):
+        items = [f"x{i}" for i in range(37)]
+        shuffled = list(items)
+        SplitMix64(seed).shuffle(shuffled)
+        assert sorted(shuffled) == sorted(items)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_short_lists_draw_nothing(self, n):
+        items = list(range(n))
+        rng = SplitMix64(7)
+        rng.shuffle(items)
+        assert items == list(range(n))
+        assert rng.next_u64() == SplitMix64(7).next_u64()
