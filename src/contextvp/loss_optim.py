@@ -18,7 +18,8 @@ from contextvp.tensor import Tensor, Tape, ShapeError
 @dataclass
 class LossSpec:
     """p in {1, 2}; weight_gdl defaults to 1 when p == 1 and 0 when p == 2,
-    weight_p is always 1 unless overridden."""
+    weight_p is always 1 unless overridden. Both weights must be finite and
+    nonnegative."""
 
     p: int = 1
     weight_p: float = 1.0
@@ -29,8 +30,10 @@ class LossSpec:
             raise ValueError(f"p must be 1 or 2, got {self.p}")
         if self.weight_gdl is None:
             self.weight_gdl = 1.0 if self.p == 1 else 0.0
-        if self.weight_p < 0 or self.weight_gdl < 0:
-            raise ValueError("loss weights must be nonnegative")
+        for name in ("weight_p", "weight_gdl"):
+            w = getattr(self, name)
+            if not (np.isfinite(w) and w >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {w}")
 
 
 def _check_frames(y: Tensor, pred: Tensor):

@@ -37,41 +37,55 @@ by plane (im2col, matmul, bias) into one [L, *plane, 4Ch] buffer, then
 runs each direction's recurrence on it. Hoisting the projection out of
 the recurrence follows Appleyard et al. 2016 (arXiv:1604.01946); it stays
 per plane because a whole-cuboid projection is slower at these shapes.
-The backward runs BPTT and the state kernel gradient per direction, adds
-the group's pre-activation gradients and takes one kx gradient, one bias
-sum and one input gradient from them. A kx or b tensor shared within a
-group therefore gets its gradient once, at its first slot among the
-node's inputs. The input gradients are summed in group order; tensors
-shared across groups get one contribution per group.
+The backward has two phases per group. The critical phase runs BPTT
+over the whole batch per direction, adds the group's pre-activation
+gradients and takes one input gradient from the sum; it is what the
+next node down the tape waits for. The deferred phase takes the ks
+gradient per direction, then one kx gradient and one bias sum from the
+pre-activation gradients added again, in place: parameter gradients,
+which nothing further down reads. A pair's sum is thus made twice when
+the input needs a gradient: holding it in a third buffer until the
+deferred phase ended raised train-ctx16's peak RSS about 3% more. A kx
+or b tensor shared within a group gets its gradient once, at its first
+slot among the node's inputs. The input gradients are summed in group
+order; tensors shared across groups get one contribution per group.
 
 The groups are independent given the layer input, so they can run
 concurrently, as in PyraMiD-LSTM (Stollenga et al. 2015,
 arXiv:1506.07452). A recorded node (the tape records and some input needs
-a gradient) runs its groups' forward and backward on a module-level pool
-of min(len(DIRECTIONS), usable cores) threads, which starts them on its
-first task; numpy releases the interpreter lock inside its array loops
-and BLAS calls. An unrecorded node, as in inference, runs them in the calling
-thread: at batch 1 the pool gave no speed-up and raised peak memory.
-Each group's arithmetic does not depend on the thread that runs it, and
-the results are combined in a fixed order, so values and gradients are
-bit-identical with and without the pool.
+a gradient) runs its groups' forward and critical phases on a
+module-level pool of min(len(DIRECTIONS), usable cores) threads, which
+starts them on its first task, and on the calling thread, which takes
+the last task when the pool has a thread for each of the others; numpy
+releases the interpreter lock inside its array loops and BLAS calls. An
+unrecorded node, as in inference, runs them in the calling thread: at
+batch 1 the pool gave no speed-up and raised peak memory. Each group's
+arithmetic does not depend on the thread that runs it, and the results
+are combined in a fixed order, so values and gradients are bit-identical
+with and without the pool.
+
+The node hands the pool one deferred task per group as soon as it has
+read that group's critical phase, and returns the tasks' gradients as
+futures (see `Tape.record`). The tape adds them after its sweep, so they
+run beside the critical phases of the layers below, the idea of
+wait-free backpropagation (Zhang et al. 2017, arXiv:1706.03292). With one
+pool thread they run at once in the calling thread.
 
 One split rule: a recorded node with exactly one group, such as a layer
 of the time-only baseline, splits its batch, along which the planes are
 independent too, into min(N, threads) contiguous slices of axis 0 of the
 cuboid, axis 1 of every plane-first buffer; every other node runs one
-pool task per group. The batch slices are then the one group's tasks:
-each projects and scans its slice forward; backward it runs BPTT on it
-and, for a lone direction, takes the slice's input gradient. The
-parameter gradients stay whole-batch reductions, so they are
-bit-identical to an unsplit node's; a split group's state kernel
-gradients run on the pool, a lone direction's beside its kx gradient and
-bias sum in the calling thread. The rule reads only the group count and
-the batch size. A DWS layer (three groups) is not split, as splitting
-its batch as well was measured 1.22x slower. A split group is the only
-item of its node's task list, so it runs in the calling thread: only a
-thread outside the pool hands the pool work, and no pool task ever waits
-on another.
+task per group. The rule reads only the group count and the batch size.
+A split node projects and scans each slice forward as its own task, and
+backward takes each slice's input gradient as its own task. Its BPTT
+and its parameter gradients stay whole-batch: two BPTT slices of one
+layer were measured to wait on each other for the interpreter lock,
+and the deferred phase keeps the second core busy instead. A DWS layer
+(three groups) is not split, as splitting its batch as well was
+measured 1.22x slower. A split group is the only item of its node's
+group list, so it runs in the calling thread, which alone hands the pool
+the slices: only a thread outside the pool hands the pool work, and no
+pool task ever waits on another.
 
 Blending is a 1x1 `Tape.conv2d` of the concatenated states, as the
 model's head is, with the layer's weight and bias as stored. The
@@ -83,13 +97,16 @@ summing the five directions and projecting.
 
 from __future__ import annotations
 
+import functools
 import os
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from contextvp.tensor import PatchRows, ShapeError, Tape, Tensor, conv_input_grad, im2col
+from contextvp.tensor import (
+    InputGrad, PatchRows, ShapeError, Tape, Tensor, conv_input_grad, im2col,
+)
 
 DIRECTIONS = ("t-", "h-", "h+", "w-", "w+")
 GATES = ("in", "forget", "out", "cell")
@@ -224,40 +241,51 @@ class _Sweep:
                 acts[i, ..., 3 * ch:] = cand
             prev, c_prev = i, c
 
-    def bptt(self, out: np.ndarray, g: np.ndarray, dpre: np.ndarray, b: slice) -> None:
-        """BPTT over batch slice b's planes in reverse scan order, writing
-        its pre-activation gradients into the plane-first dpre[:, b]."""
+    def bptt(self, g: np.ndarray, dpre: np.ndarray) -> None:
+        """BPTT over the whole batch's planes in reverse scan order, writing
+        the pre-activation gradients into the plane-first dpre. The float
+        operations are those of the tape-composed step's backward, in the
+        same order; every plane step writes into buffers made once. Each
+        gate's products run in contiguous buffers and write its strided
+        slice of dpre once: chaining them in the slice was about 9% slower."""
         ch = self.ch
-        gs = self.planes(g[b, ..., self.span])
-        acts, cells, dpre = self.acts[:, b], self.cells[:, b], dpre[:, b]
-        ds = dc = None
+        gs = self.planes(g[..., self.span])
+        acts, cells = self.acts, self.cells
+        plane = cells.shape[1:-1]
+        tc, t, u, d_s, d_c, dc = (np.empty(plane + (ch,)) for _ in range(6))
+        state_grad = InputGrad(dpre.shape[1:], self.ks)
+        ds = None  # the state gradient from the plane after this one in scan order
         for q in reversed(range(len(self.order))):
             i = self.order[q]
             gate_in, gate_forget, gate_out, cand = (
                 acts[i, ..., j * ch:(j + 1) * ch] for j in range(4)
             )
-            tc = np.tanh(cells[i])
-            d_s = gs[i] if ds is None else gs[i] + ds
-            d_c = d_s * gate_out * (1.0 - tc * tc)
-            if dc is not None:
-                d_c = d_c + dc
-            d = dpre[i]
-            d[..., :ch] = d_c * cand * gate_in * (1.0 - gate_in)
-            d[..., 2 * ch:3 * ch] = d_s * tc * gate_out * (1.0 - gate_out)
-            d[..., 3 * ch:] = d_c * gate_in * (1.0 - cand * cand)
+            d_in, d_forget, d_out, d_cand = (dpre[i, ..., j * ch:(j + 1) * ch] for j in range(4))
+            np.tanh(cells[i], out=tc)
+            grad_s = gs[i] if ds is None else np.add(gs[i], ds, out=d_s)
+            # d_c = grad_s * gate_out * (1 - tc^2) (+ dc)
+            np.multiply(grad_s, gate_out, out=d_c)
+            np.multiply(tc, tc, out=t)
+            np.subtract(1.0, t, out=t)
+            np.multiply(d_c, t, out=d_c)
+            if ds is not None:
+                np.add(d_c, dc, out=d_c)
+            _gate_grad(d_c, cand, gate_in, u, t, out=d_in)
+            _gate_grad(grad_s, tc, gate_out, u, t, out=d_out)
+            # d_cand = d_c * gate_in * (1 - cand^2)
+            np.multiply(d_c, gate_in, out=u)
+            np.multiply(cand, cand, out=t)
+            np.subtract(1.0, t, out=t)
+            np.multiply(u, t, out=d_cand)
             if q == 0:  # the first plane starts from zero cell and state
-                d[..., ch:2 * ch] = 0.0
+                d_forget[...] = 0.0
             else:
-                c_prev = cells[self.order[q - 1]]
-                d[..., ch:2 * ch] = d_c * c_prev * gate_forget * (1.0 - gate_forget)
-                dc = d_c * gate_forget
-                ds = conv_input_grad(d, self.ks)
+                _gate_grad(d_c, cells[self.order[q - 1]], gate_forget, u, t, out=d_forget)
+                np.multiply(d_c, gate_forget, out=dc)
+                ds = state_grad(dpre[i])
 
-    def state_kernel_grad(self, out: np.ndarray, dpre: np.ndarray):
-        """The ks gradient from this direction's whole-batch dpre, None
-        when the unit needs none."""
-        if not self.need_params:
-            return None
+    def state_kernel_grad(self, out: np.ndarray, dpre: np.ndarray) -> np.ndarray:
+        """The ks gradient from this direction's pre-activation gradients."""
         k, ch = self.k, self.ch
         states = self.planes(out[..., self.span])
         # plane i saw the state of the plane before it in scan order
@@ -267,6 +295,15 @@ class _Sweep:
         return (im2col(states[seen], k, k).T @ dpre[fed].reshape(-1, 4 * ch)).reshape(
             self.ks.shape
         )
+
+
+def _gate_grad(a, b, gate, u, t, out) -> None:
+    """out = a * b * gate * (1 - gate), in that order, through the
+    contiguous buffers u and t: one write into the strided `out`."""
+    np.multiply(a, b, out=u)
+    np.multiply(u, gate, out=u)
+    np.subtract(1.0, gate, out=t)
+    np.multiply(u, t, out=out)
 
 
 def _group_forward(group: list, x: np.ndarray, out: np.ndarray, b: slice) -> None:
@@ -287,42 +324,68 @@ def _group_forward(group: list, x: np.ndarray, out: np.ndarray, b: slice) -> Non
         sw.forward(proj, out, b)
 
 
-def _group_backward(group: list, batches: list, x, out, g, need_x: bool):
-    """A direction group's backward. BPTT runs per batch slice, one
-    `_map` item each, into the slice of each direction's pre-activation
-    gradients; a lone direction's are then final, so the same item takes
-    the slice's input gradient. The parameter gradients are whole-batch
-    reductions: the ks gradient per direction, on the pool when the batch
-    is split, beside a lone direction's kx gradient and bias sum in this
-    thread; a pair's dpre is added in place into the first direction's
-    once both ks gradients have read it, then one kx gradient, one bias
-    sum and the pair's input gradient per slice. Returns ([gkx, gks, gb]
-    per direction, None for kx and b after the first; the plane-first
-    input gradient per batch slice, None unless `need_x`)."""
-    first = group[0]
+def _group_backward(group: list, batches: list, g: np.ndarray, need_x: bool):
+    """A direction group's critical phase: whole-batch BPTT per direction
+    into its pre-activation gradients, then, when `need_x`, the group's
+    plane-first input gradient from their sum, one `_map` item per batch
+    slice. Returns (the pre-activation gradient per direction, the input
+    gradient per batch slice or None)."""
     dpres = [np.empty(sw.acts.shape) for sw in group]
+    for sw, dpre in zip(group, dpres):
+        sw.bptt(g, dpre)
+    kx = group[0].kx
+    gx = None
+    if need_x:
+        gx = list(_map(
+            lambda b: conv_input_grad(functools.reduce(np.add, [d[:, b] for d in dpres]), kx),
+            batches,
+            parallel=True,
+        ))
+    return dpres, gx
 
-    def bptt(b):
-        for sw, dpre in zip(group, dpres):
-            sw.bptt(out, g, dpre, b)
-        return conv_input_grad(dpres[0][:, b], first.kx) if need_x and len(group) == 1 else None
 
-    gx = _map(bptt, batches, parallel=True)
-    split = len(batches) > 1
-    gks = [_start(sw.state_kernel_grad, out, d, parallel=split) for sw, d in zip(group, dpres)]
-    if len(group) > 1:
-        wait(gks)
-        for dpre in dpres[1:]:
-            dpres[0] += dpre
-    gkx = gb = None
-    if first.need_params:
-        rows = dpres[0].reshape(-1, dpres[0].shape[-1])
-        gkx = (im2col(first.planes(x), first.k, first.k).T @ rows).reshape(first.kx.shape)
-        gb = rows.sum(axis=0)
-    grads = [[gkx, gks[0].result(), gb]] + [[None, f.result(), None] for f in gks[1:]]
-    if need_x and len(group) > 1:
-        gx = [conv_input_grad(dpres[0][:, b], first.kx) for b in batches]
-    return grads, gx if need_x else None
+def _param_grads(group: list, x, out, dpres: list) -> list:
+    """A direction group's deferred phase: [kx gradient, bias sum, then
+    the ks gradient per direction]. The kx gradient and bias sum read the
+    sum of the pre-activation gradients, made in place in the first once
+    the ks gradients have read them all. The task owns `dpres` and empties
+    it while summing, so a pair's second buffer is freed before the kx
+    gradient's patch rows are made."""
+    first = group[0]
+    gks = [sw.state_kernel_grad(out, dpre) for sw, dpre in zip(group, dpres)]
+    dsum = dpres.pop(0)
+    while dpres:
+        dsum += dpres.pop(0)
+    rows = dsum.reshape(-1, dsum.shape[-1])
+    gkx = (im2col(first.planes(x), first.k, first.k).T @ rows).reshape(first.kx.shape)
+    return [gkx, rows.sum(axis=0)] + gks
+
+
+def _defer_param_grads(group: list, x, out, dpres: list) -> list:
+    """Start a group's deferred phase as one task, on the pool when it has
+    two or more threads. Returns its gradients as futures in the node's
+    input order, [kx, ks, b] per direction, None for the kx and b after
+    the first, which the group shares, and all None when the group's unit
+    needs no gradient."""
+    if not group[0].need_params:
+        return [None] * (3 * len(group))
+    task = _start(_param_grads, group, x, out, dpres, parallel=_THREADS > 1)
+    gkx, gb, *gks = (_item(task, j) for j in range(2 + len(group)))
+    return [gkx, gks[0], gb] + [grad for f in gks[1:] for grad in (None, f, None)]
+
+
+def _item(task: Future, j: int) -> Future:
+    """A future of item j of the list `task` resolves to."""
+    item = Future()
+
+    def copy(done):
+        if done.exception() is not None:
+            item.set_exception(done.exception())
+        else:
+            item.set_result(done.result()[j])
+
+    task.add_done_callback(copy)
+    return item
 
 
 def _start(fn, *args, parallel: bool) -> Future:
@@ -335,13 +398,23 @@ def _start(fn, *args, parallel: bool) -> Future:
     return done
 
 
-def _map(fn, items, parallel: bool) -> list:
-    """[fn(item) for item in items], on the shared thread pool when
-    `parallel` and more than one of its threads would get work. Only a
+def _map(fn, items, parallel: bool):
+    """fn(item) for each item, yielded in order. When `parallel` and more
+    than one thread would get work, all items are started before the
+    first result is read: on the shared pool, except the last, which the
+    calling thread runs itself if the pool has a thread for each of the
+    others, so never more items run at once than the pool has threads.
+    Otherwise each item runs in the calling thread as it is read. Only a
     thread outside the pool may ask for `parallel`, so no pool task ever
     waits on another."""
-    parallel = parallel and min(len(items), _THREADS) > 1
-    return [f.result() for f in [_start(fn, item, parallel=parallel) for item in items]]
+    if not (parallel and min(len(items), _THREADS) > 1):
+        for item in items:
+            yield fn(item)
+        return
+    futures = [_pool.submit(fn, item) for item in items[:-1]]
+    futures.append(_start(fn, items[-1], parallel=len(items) > _THREADS))
+    for f in futures:
+        yield f.result()
 
 
 def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
@@ -375,30 +448,34 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
     groups = list(groups.values())
     x = cuboid.data
     out = np.empty(x.shape[:-1] + (int(offsets[-1]),))
-    # a recorded one-group node splits its batch; every other node runs one task per group
+    # a recorded one-group node splits its batch; every other node runs one
+    # task per group
     n = x.shape[0]
     chunks = min(n, _THREADS) if keep and len(groups) == 1 else 1
     batches = [slice(n * j // chunks, n * (j + 1) // chunks) for j in range(chunks)]
-    _map(
+    list(_map(
         lambda task: _group_forward(task[0], x, out, task[1]),
         [(group, b) for group in groups for b in batches],
         parallel=keep,
-    )
+    ))
 
     def backward(g):
         need_x = cuboid.requires_grad
-        results = _map(
-            lambda group: _group_backward(group, batches, x, out, g, need_x), groups, parallel=True
+        gx = np.zeros(x.shape) if need_x else None
+        grads = []
+        critical = _map(
+            lambda group: _group_backward(group, batches, g, need_x), groups, parallel=True
         )
-        gx = None
-        if need_x:
-            gx = np.zeros(x.shape)
-            for group, (_, gx_group) in zip(groups, results):
-                for b, part in zip(batches, gx_group):
-                    gx[b] += np.moveaxis(part, 0, group[0].axis)
-        # a pair's directions are neighbours in DIRECTIONS (h-, h+ and
+        # each group's deferred phase starts once its critical phase is
+        # read, so the t- group's buffers need not wait for a pair's BPTT.
+        # A pair's directions are neighbours in DIRECTIONS (h-, h+ and
         # w-, w+), so the groups list the directions in that order
-        return [gx] + [grad for grads, _ in results for per_dir in grads for grad in per_dir]
+        for group, (dpres, parts) in zip(groups, critical):
+            grads += _defer_param_grads(group, x, out, dpres)
+            if need_x:
+                for b, part in zip(batches, parts):
+                    gx[b] += np.moveaxis(part, 0, group[0].axis)
+        return [gx] + grads
 
     return tape.record("pmd_layer", inputs, out, backward)
 

@@ -9,6 +9,8 @@ values and gradients.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -49,18 +51,38 @@ class PatchRows:
         return self.rows
 
 
+class InputGrad:
+    """`conv_input_grad` for a stream of same-shaped output gradients
+    through one kernel. The zero-padded input gradient and the tap
+    product buffer are made once, so each call allocates nothing. The
+    gradient returned is overwritten by the next call."""
+
+    def __init__(self, shape, kd: np.ndarray):
+        *lead, a, b, _ = shape
+        kh, kw, cin, _ = kd.shape
+        ph, pw = kh // 2, kw // 2
+        self._padded = np.empty((*lead, a + 2 * ph, b + 2 * pw, cin))
+        self._inner = self._padded[..., ph:ph + a, pw:pw + b, :]
+        self._tap = np.empty((*lead, a, b, cin))
+        # (region of the padded gradient, transposed kernel tap) per tap
+        self._taps = [
+            (self._padded[..., dh:dh + a, dw:dw + b, :], kd[dh, dw].T)
+            for dh in range(kh) for dw in range(kw)
+        ]
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        self._padded.fill(0.0)
+        for region, tap in self._taps:
+            np.matmul(g, tap, out=self._tap)
+            np.add(region, self._tap, out=region)
+        return self._inner
+
+
 def conv_input_grad(g: np.ndarray, kd: np.ndarray) -> np.ndarray:
     """Gradient of a same-padded conv with kernel kd [kh, kw, Cin, Cout]
     with respect to its [..., A, B, Cin] input, given the output gradient
     g [..., A, B, Cout]: one matmul per kernel tap."""
-    kh, kw, cin, _ = kd.shape
-    ph, pw = kh // 2, kw // 2
-    hh, ww = g.shape[-3], g.shape[-2]
-    gxp = np.zeros(g.shape[:-3] + (hh + 2 * ph, ww + 2 * pw, cin))
-    for dh in range(kh):
-        for dw in range(kw):
-            gxp[..., dh:dh + hh, dw:dw + ww, :] += g @ kd[dh, dw].T
-    return gxp[..., ph:ph + hh, pw:pw + ww, :]
+    return InputGrad(g.shape, kd)(g)
 
 
 class Tensor:
@@ -96,6 +118,22 @@ class _Node:
         self.backward_fn = backward_fn
 
 
+def _accumulate(t: Tensor, contrib: np.ndarray) -> None:
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += contrib
+
+
+def _add_queued(entry) -> None:
+    """Add a (tensor, contributions) queue in order, waiting on each
+    future's result; None adds nothing."""
+    if entry is None:
+        return
+    t, contribs = entry
+    for contrib in contribs:
+        _accumulate(t, contrib.result() if isinstance(contrib, Future) else contrib)
+
+
 def _axis_index(axis: int, rank: int) -> int:
     if axis < 0:
         axis += rank
@@ -108,9 +146,11 @@ class Tape:
     """Append-only record of differentiable operations.
 
     `backward` seeds a scalar node with 1 and sweeps the node list once in
-    reverse insertion order, accumulating into `Tensor.grad`. A tape built
-    with ``recording=False`` runs the same forward math without recording,
-    which is what inference and finite-difference value sweeps use.
+    reverse insertion order, accumulating into `Tensor.grad`; a node may
+    hand back some gradients as futures, which are added in the same
+    order once they resolve. A tape built with ``recording=False`` runs
+    the same forward math without recording, which is what inference and
+    finite-difference value sweeps use.
     """
 
     def __init__(self, recording: bool = True):
@@ -122,7 +162,16 @@ class Tape:
     def record(self, kind, inputs, out_data, backward_fn) -> Tensor:
         """Wrap `out_data` as the op's output. When the tape records and
         some input needs a gradient, also append a node whose
-        `backward_fn(out_grad)` returns one gradient (or None) per input."""
+        `backward_fn(out_grad)` returns one gradient (or None) per input.
+
+        Any gradient may instead be a `concurrent.futures.Future` of the
+        array, and `backward` adds its result in that place among the
+        input's contributions (see there). The sweep runs on while a leaf's
+        future is pending, so a node hands back a parameter's gradient
+        this way to take it off the critical path; for a tensor a node
+        produced, `backward` waits on the future when it reaches that
+        node. The future's work must finish without `backward` doing
+        anything more."""
         out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
         if self.recording and out.requires_grad:
             self.nodes.append(_Node(kind, inputs, out, backward_fn))
@@ -131,6 +180,16 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate `.grad` on every leaf that influences `loss`: the
         parameters and inputs that no node produced.
+
+        Each tensor takes its contributions in node order, reverse
+        insertion, and within a node in input order. Once a contribution
+        to a tensor is a future, its later contributions queue behind it.
+        A queue is added up when the node that produced the tensor is
+        reached, waiting on its futures there, and a leaf's after the
+        sweep, so each `.grad` is the same sum, bit for bit, as with no
+        futures. Every future has finished when `backward` returns, also
+        when a `backward_fn` or a future raised; the first error is then
+        raised.
 
         A node's output gradient is released once the node has consumed
         it, so intermediate tensors end with `.grad` None. Grad buffers
@@ -146,18 +205,30 @@ class Tape:
             for t in node.inputs:
                 t.grad = None
         loss.grad = np.ones((), dtype=np.float64)
-        for node in reversed(self.nodes):
-            out_grad = node.output.grad
-            if out_grad is None:
-                continue
-            contribs = node.backward_fn(out_grad)
-            node.output.grad = None
-            for t, contrib in zip(node.inputs, contribs):
-                if contrib is None or not t.requires_grad:
+        queued = {}  # id(tensor) -> (tensor, contributions), from its first future on
+        futures = []
+        try:
+            for node in reversed(self.nodes):
+                _add_queued(queued.pop(id(node.output), None))
+                out_grad = node.output.grad
+                if out_grad is None:
                     continue
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-                t.grad += contrib
+                contribs = node.backward_fn(out_grad)
+                node.output.grad = None
+                for t, contrib in zip(node.inputs, contribs):
+                    if isinstance(contrib, Future):
+                        futures.append(contrib)
+                    if contrib is None or not t.requires_grad:
+                        continue
+                    if isinstance(contrib, Future) or id(t) in queued:
+                        queued.setdefault(id(t), (t, []))[1].append(contrib)
+                    else:
+                        _accumulate(t, contrib)
+            for entry in queued.values():
+                _add_queued(entry)
+        finally:
+            for f in futures:
+                f.exception()  # waits, and reads an error no result() raised
 
     # -- elementwise -----------------------------------------------------
 

@@ -228,6 +228,13 @@ class TestLossSpecDefaults:
         with pytest.raises(ValueError):
             LossSpec(p=3)
 
+    @pytest.mark.parametrize("name", ["weight_p", "weight_gdl"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_weight_must_be_finite_and_nonnegative(self, name, value):
+        # a NaN or infinite weight would make combined_loss return nan
+        with pytest.raises(ValueError, match=name):
+            LossSpec(p=1, **{name: value})
+
 
 class TestXavier:
     def test_variance_near_definition(self):

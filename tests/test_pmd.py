@@ -220,8 +220,9 @@ def rel_err(a, b):
 
 CUBOIDS = [(1, 3, 4, 5, 2), (2, 3, 4, 5, 2)]  # [N, T, H, W, C] at N = 1 and 2
 
-# one group each, which a recorded node splits by batch: a lone direction
-# and a DWS pair; then two groups of one direction, and DWS's three groups
+# one group each, whose batch a recorded node splits forward: a lone
+# direction and a DWS pair; then two groups of one direction, and DWS's
+# three groups
 POOL_LAYERS = {
     "lone": lambda rng: {"t-": make_unit(3, 2, 3, rng, grad=True)},
     "pair": lambda rng: dict.fromkeys(("h-", "h+"), make_unit(3, 2, 3, rng, grad=True)),
@@ -232,12 +233,13 @@ POOL_LAYERS = {
 
 def spy_pool(monkeypatch, threads):
     """Install a pool of `threads` threads named spy-* as pmd's shared
-    pool. Returns it and the list to which its submit appends the name of
-    each submitting thread. A submit from one of its own threads raises
-    instead: a pool task that waits on another can deadlock the pool."""
+    pool. Returns it, the list to which its submit appends the name of
+    each submitting thread, and the list of the futures it returned. A
+    submit from one of its own threads raises instead: a pool task that
+    waits on another can deadlock the pool."""
     monkeypatch.setattr(pmd, "_THREADS", threads)
     pool = ThreadPoolExecutor(threads, thread_name_prefix="spy")
-    submitters = []
+    submitters, futures = [], []
     submit = pool.submit
 
     def spy(*args):
@@ -245,21 +247,12 @@ def spy_pool(monkeypatch, threads):
         if name.startswith("spy"):
             raise AssertionError(f"pool thread {name} submitted a task")
         submitters.append(name)
-        return submit(*args)
+        futures.append(submit(*args))
+        return futures[-1]
 
     monkeypatch.setattr(pool, "submit", spy)
     monkeypatch.setattr(pmd, "_pool", pool)
-    return pool, submitters
-
-
-def assert_pool_tasks(layer, tasks):
-    """A one-group node of POOL_LAYERS at batch 4 hands the pool at least
-    two batch slices; the two-group layer, run at four threads, its two
-    groups; DWS its three groups."""
-    if layer in ("two", "dws"):
-        assert tasks == {"two": 2, "dws": 3}[layer]
-    else:
-        assert tasks >= 2
+    return pool, submitters, futures
 
 
 class TestFusedLayer:
@@ -324,32 +317,42 @@ class TestFusedLayer:
     def test_forward_tasks_handed_to_the_pool(self, monkeypatch, layer):
         # a one-group node: one task per batch slice; any other node keeps
         # one task per group, however many threads there are, as splitting
-        # a DWS layer's batch as well was measured slower
+        # a DWS layer's batch as well was measured slower. The calling
+        # thread runs the last task itself when the pool has a thread for
+        # each of the others: one of two slices, one of the two groups on
+        # four threads, none of DWS's three groups on two
         rng = np.random.default_rng(35)
         units = POOL_LAYERS[layer](rng)
-        pool, submitted = spy_pool(monkeypatch, 4 if layer == "two" else 2)
+        pool, submitted, _ = spy_pool(monkeypatch, 4 if layer == "two" else 2)
         with pool:
             x = Tensor(rng.uniform(size=(4, 3, 4, 5, 2)), requires_grad=True)
             pmd_layer(Tape(recording=False), units, x)  # inference stays in this thread
             assert submitted == []
             pmd_layer(Tape(), units, x)
-        assert_pool_tasks(layer, len(submitted))
+        assert len(submitted) == {"lone": 1, "pair": 1, "two": 1, "dws": 3}[layer]
 
     @pytest.mark.parametrize("layer", POOL_LAYERS)
     def test_backward_tasks_handed_to_the_pool(self, monkeypatch, layer):
-        # as forward: the batch slices' BPTT of a one-group node, else one
-        # task per group; and only the calling thread hands the pool work
-        # (spy_pool raises otherwise)
+        # the critical phase: whole-batch BPTT per group, one task per
+        # group as forward; a one-group node then takes its input gradient
+        # per batch slice, one of the two slices on the pool. Then one
+        # deferred task per group takes its parameter gradients. Only the
+        # calling thread hands the pool work (spy_pool raises otherwise),
+        # and every future it handed over has finished when backward
+        # returns
         rng = np.random.default_rng(36)
         units = POOL_LAYERS[layer](rng)
-        pool, submitted = spy_pool(monkeypatch, 4 if layer == "two" else 2)
+        pool, submitted, futures = spy_pool(monkeypatch, 4 if layer == "two" else 2)
         with pool:
             x = Tensor(rng.uniform(size=(4, 3, 4, 5, 2)), requires_grad=True)
             tape = Tape()
             out = pmd_layer(tape, units, x)
             forward = len(submitted)
             tape.backward(tape.sum(out))
-        assert_pool_tasks(layer, len(submitted) - forward)
+            assert all(f.done() for f in futures)
+        deferred = {"lone": 1, "pair": 1, "two": 2, "dws": 3}[layer]
+        critical = {"lone": 1, "pair": 1, "two": 1, "dws": 3}[layer]
+        assert len(submitted) - forward == critical + deferred
 
     def test_concurrent_callers_match_calling_thread(self, monkeypatch):
         # six callers, each with its own one-group, two-group or DWS layer,

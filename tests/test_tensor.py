@@ -1,10 +1,14 @@
+import threading
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextvp.tensor import Tensor, Tape, ShapeError, finite_diff_check
+from contextvp.tensor import (
+    InputGrad, Tensor, Tape, ShapeError, conv_input_grad, finite_diff_check,
+)
 from oracles import naive_conv2d
 
 
@@ -251,6 +255,120 @@ class TestBackward:
         max_rel, excluded = finite_diff_check(f, params)
         assert excluded == []
         assert max_rel < 1e-4
+
+
+def feed(tape, t, contrib):
+    """A node reading t whose backward hands back `contrib` (an array, or
+    a zero-argument function whose future does) as t's gradient."""
+    return tape.record(
+        "feed", (t,), t.data.copy(), lambda g: (contrib() if callable(contrib) else contrib,)
+    )
+
+
+class TestDeferredGradients:
+    """Tape.backward with gradients handed back as futures."""
+
+    # one leaf's contributions in sweep order; their float sum depends on
+    # the order: 1e16 + 1 rounds to 1e16, and the ones are then lost
+    CONTRIBS = [
+        np.array([1e16, 1.0, 3.0]), np.array([1.0, 1e16, 2.0]), np.array([-1e16, -1e16, 1.0])
+    ]
+
+    @staticmethod
+    def three_feeds(contribs):
+        tape = Tape()
+        w = Tensor(np.zeros(3), requires_grad=True)
+        # the sweep reaches the feeds in reverse: contribs[0] is added first
+        a, b, c = (feed(tape, w, contrib) for contrib in reversed(contribs))
+        tape.backward(tape.sum(tape.add(tape.add(a, b), c)))
+        return w.grad
+
+    @pytest.mark.parametrize("deferred", [(0,), (1,), (2,), (0, 2), (0, 1, 2)])
+    def test_leaf_sums_mixed_contributions_in_node_order(self, deferred):
+        want = np.zeros(3)
+        for contrib in self.CONTRIBS:
+            want += contrib
+        assert want.tobytes() != (self.CONTRIBS[1] + self.CONTRIBS[2] + self.CONTRIBS[0]).tobytes()
+        gate = threading.Event()  # every future resolves only after the sweep has passed it
+        with ThreadPoolExecutor(1) as pool:
+            contribs = [
+                (lambda c=c: pool.submit(lambda: (gate.wait(5), c)[1])) if j in deferred else c
+                for j, c in enumerate(self.CONTRIBS)
+            ]
+            threading.Timer(0.05, gate.set).start()
+            got = self.three_feeds(contribs)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == self.three_feeds(self.CONTRIBS).tobytes()
+
+    def test_future_to_a_node_output_is_added_before_its_node(self):
+        def run(deferred):
+            tape = Tape()
+            x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+            h = tape.tanh(x)
+            contrib = np.array([3.0, 4.0])
+            if deferred:
+                with ThreadPoolExecutor(1) as pool:
+                    fed = feed(tape, h, lambda: pool.submit(lambda: contrib))
+                    tape.backward(tape.sum(tape.add(fed, h)))
+            else:
+                tape.backward(tape.sum(tape.add(feed(tape, h, contrib), h)))
+            return x.grad
+
+        assert run(True).tobytes() == run(False).tobytes()
+
+    def test_deferred_error_raised_and_every_future_read(self):
+        slow = []
+
+        def failing():
+            raise FloatingPointError("deferred gradient failed")
+
+        with ThreadPoolExecutor(2) as pool:
+            def contribs():
+                # a good future before the failing one, and a slower one
+                # after it, still running when the failing one is read
+                def later(delay):
+                    f = pool.submit(lambda: (threading.Event().wait(delay), np.ones(3))[1])
+                    slow.append(f)
+                    return f
+                return [lambda: later(0.05), lambda: pool.submit(failing), lambda: later(0.5)]
+
+            with pytest.raises(FloatingPointError, match="deferred gradient failed"):
+                self.three_feeds(contribs())
+            assert len(slow) == 2 and all(f.done() for f in slow)
+        # a fresh tape afterwards still sums correctly
+        np.testing.assert_array_equal(self.three_feeds([np.ones(3)] * 3), np.full(3, 3.0))
+
+    def test_backward_fn_error_waits_for_pending_futures(self):
+        tape = Tape()
+        w = Tensor(np.zeros(2), requires_grad=True)
+        pending = []
+
+        def boom(g):
+            raise RuntimeError("backward_fn failed")
+
+        with ThreadPoolExecutor(1) as pool:
+            def deferred():
+                f = pool.submit(lambda: (threading.Event().wait(0.05), np.ones(2))[1])
+                pending.append(f)
+                return f
+
+            bad = tape.record("boom", (w,), w.data.copy(), boom)
+            # swept before `bad`: its future is pending when boom raises
+            late = feed(tape, w, deferred)
+            with pytest.raises(RuntimeError, match="backward_fn failed"):
+                tape.backward(tape.sum(tape.add(bad, late)))
+            assert len(pending) == 1 and pending[0].done()
+
+
+class TestInputGrad:
+    def test_stream_matches_one_shot(self):
+        # the padded buffer is zeroed per call, so a second gradient owes
+        # nothing to the first
+        kd = rand((3, 3, 2, 5), 0)
+        first, second = rand((2, 4, 6, 5), 1), rand((2, 4, 6, 5), 2)
+        stream = InputGrad(first.shape, kd)
+        stream(first)
+        assert stream(second).tobytes() == conv_input_grad(second, kd).tobytes()
 
 
 class TestFiniteDiffCheck:
