@@ -18,6 +18,7 @@ bit. Shapes render at intensity 1 on a zero background; overlaps stay 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,8 @@ class ShapeSceneParams:
                 raise GeometryError(
                     f"shape size {s} must be in (0, {min(self.H, self.W)})"
                 )
-        if any(s < 0 for s in self.speeds):
-            raise GeometryError("speeds must be >= 0")
+        if not all(math.isfinite(s) and s >= 0 for s in self.speeds):
+            raise GeometryError(f"speeds must be finite and >= 0, got {self.speeds}")
 
 
 @dataclass

@@ -386,6 +386,14 @@ class Tape:
         x: [..., A, B, Cin], any leading axes convolved independently;
         kernel: [kh, kw, Cin, Cout]; bias: [Cout] or None. Out-of-range
         input is treated as zero.
+
+        The forward and the kernel gradient multiply patch rows (`im2col`)
+        by the kernel, and the input gradient takes one matmul per tap
+        (`conv_input_grad`). A 1x1 kernel, as in blending and the model's
+        head, has the input's own rows, x.reshape(-1, Cin), as its patch
+        rows, and one tap, whose input gradient is g @ kernel[0, 0].T: it
+        skips the padded and patch copies and the zero-filled sum, and
+        gives the same values bit for bit.
         """
         kd = kernel.data
         if kd.ndim != 4:
@@ -405,9 +413,12 @@ class Tape:
             raise ShapeError(
                 f"conv2d: bias shape {bias.data.shape} != ({cout},) from kernel axis 3"
             )
-        out = (im2col(xd, kh, kw) @ kd.reshape(kh * kw * cin, cout)).reshape(
-            xd.shape[:-1] + (cout,)
-        )
+        pointwise = kh == kw == 1
+
+        def rows():  # made again in backward rather than kept alive
+            return xd.reshape(-1, cin) if pointwise else im2col(xd, kh, kw)
+
+        out = (rows() @ kd.reshape(kh * kw * cin, cout)).reshape(xd.shape[:-1] + (cout,))
         if bias is not None:
             out = out + bias.data
 
@@ -416,10 +427,9 @@ class Tape:
             gk = None
             gx = None
             if kernel.requires_grad:
-                # recompute patch rows rather than keeping them alive
-                gk = (im2col(xd, kh, kw).T @ g2).reshape(kd.shape)
+                gk = (rows().T @ g2).reshape(kd.shape)
             if x.requires_grad:
-                gx = conv_input_grad(g, kd)
+                gx = np.matmul(g, kd[0, 0].T) if pointwise else conv_input_grad(g, kd)
             gb = g2.sum(axis=0) if (bias is not None and bias.requires_grad) else None
             if bias is None:
                 return (gx, gk)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from contextvp.data import (
     DATASET_MAGIC,
     Dataset,
+    GeometryError,
     MovingShape,
     ShapeSceneParams,
     bounce_track,
@@ -66,6 +67,12 @@ class TestGenerate:
         assert a.shape == (3, 5, 10, 12, 1)
         assert a.tobytes() == b.tobytes()
         assert set(np.unique(a)) <= {0.0, 1.0} and a.max() == 1.0
+
+    @pytest.mark.parametrize("speed", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_speed_must_be_finite_and_nonnegative(self, speed):
+        # unchecked, a NaN speed fails later, inside generate_bouncing_shapes
+        with pytest.raises(GeometryError, match="speeds must be finite and >= 0"):
+            ShapeSceneParams(speeds=(1.0, speed))
 
     def test_window_pairs(self):
         dataset = Dataset(np.arange(2 * 5, dtype=float).reshape(2, 5, 1, 1, 1) / 16)

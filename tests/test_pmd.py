@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import contextvp.pmd as pmd
+import contextvp.tensor as tensor
 from contextvp.model import ModelSpec, build, forward_cuboid
 from contextvp.tensor import Tensor, Tape, ShapeError
 from contextvp.pmd import (
@@ -294,6 +295,50 @@ class TestFusedLayer:
         np.testing.assert_array_equal(fused, ref)
         for got, want in zip(fused_grads, ref_grads):
             assert rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("layer", ["h-", "w-", "dws-pair"])
+    def test_kernel_sizes_match_composed_oracle(self, layer, k, n):
+        # reversed lone directions and a DWS pair, whose kernel gradients
+        # are summed per plane, at kernels other than the model's 3
+        rng = np.random.default_rng(37)
+        if layer == "dws-pair":
+            units = dict.fromkeys(("w-", "w+"), make_unit(k, 2, 3, rng, grad=True))
+        else:
+            units = {layer: make_unit(k, 2, 3, rng, grad=True)}
+        shape = (n, 3, 4, 5, 2)
+        x = Tensor(rng.uniform(size=shape), requires_grad=True)
+        weights = rng.uniform(-1, 1, size=shape[:-1] + (3 * len(units),))
+        fused, fused_grads = run_with_grads(pmd_layer, units, x, weights)
+        ref, ref_grads = run_with_grads(composed_layer, units, x, weights)
+        np.testing.assert_array_equal(fused, ref)
+        for got, want in zip(fused_grads, ref_grads):
+            assert rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("layer", ["lone", "dws"])
+    def test_backward_patch_rows_span_one_plane(self, monkeypatch, layer):
+        # the kernel gradients are summed plane by plane, so a recorded
+        # layer's backward builds every patch-row buffer for one plane of
+        # the batch, never for the whole layer
+        monkeypatch.setattr(pmd, "_THREADS", 1)
+        rng = np.random.default_rng(38)
+        units = POOL_LAYERS[layer](rng)
+        n, t, h, w, _ = shape = (2, 3, 4, 5, 2)
+        x = Tensor(rng.uniform(size=shape), requires_grad=True)
+        tape = Tape()
+        out = pmd_layer(tape, units, x)
+        built = []
+        real = tensor.PatchRows
+
+        def spy(shape, kh, kw):
+            built.append(tuple(shape[:-1]))
+            return real(shape, kh, kw)
+
+        monkeypatch.setattr(tensor, "PatchRows", spy)
+        monkeypatch.setattr(pmd, "PatchRows", spy)
+        tape.backward(tape.sum(out))
+        assert built and set(built) <= {(n, h, w), (n, t, w), (n, t, h)}
 
     def test_pooled_forward_equals_calling_thread(self, monkeypatch):
         rng = np.random.default_rng(32)

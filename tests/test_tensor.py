@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contextvp.tensor import (
-    InputGrad, Tensor, Tape, ShapeError, conv_input_grad, finite_diff_check,
+    InputGrad, Tensor, Tape, ShapeError, conv_input_grad, finite_diff_check, im2col,
 )
 from oracles import naive_conv2d
 
@@ -78,6 +78,23 @@ class TestConv2d:
         flat = run(x5.reshape(6, 5, 6, 2), g5.reshape(6, 5, 6, 3))
         for got, want in zip(run(x5, g5), flat):
             np.testing.assert_array_equal(got.reshape(want.shape), want)
+
+    @pytest.mark.parametrize("shape", [(5, 6, 3), (2, 3, 5, 6, 3)])
+    @pytest.mark.parametrize("strided", [False, True])
+    def test_1x1_equals_im2col_route(self, shape, strided):
+        # a 1x1 kernel takes the input's rows without im2col and its one
+        # tap without conv_input_grad: values and gradients bit for bit
+        x = rand(shape[:-2] + (2 * shape[-2], 3), 8)[..., ::2, :] if strided else rand(shape, 8)
+        k, b, g = rand((1, 1, 3, 4), 9), rand((4,), 10), rand(shape[:-1] + (4,), 11)
+        params = [Tensor(a, requires_grad=True) for a in (x, k, b)]
+        tape = Tape()
+        out = tape.conv2d(*params)
+        tape.backward(tape.sum(tape.mul(out, Tensor(g))))
+        rows, g2 = im2col(x, 1, 1), g.reshape(-1, 4)
+        np.testing.assert_array_equal(out.data, (rows @ k.reshape(3, 4)).reshape(g.shape) + b)
+        np.testing.assert_array_equal(params[0].grad, conv_input_grad(g, k))
+        np.testing.assert_array_equal(params[1].grad, (rows.T @ g2).reshape(k.shape))
+        np.testing.assert_array_equal(params[2].grad, g2.sum(axis=0))
 
     def test_channel_mismatch_names_axis(self):
         x = Tensor(np.zeros((4, 4, 3)))
