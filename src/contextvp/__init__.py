@@ -6,6 +6,6 @@ gradient-difference training objective, all on top of a small float64
 reverse-mode tape.
 """
 
-from contextvp.tensor import Tensor, Tape, ShapeError, finite_diff_check
+from contextvp.tensor import Tensor, Tape, ShapeError
 
-__all__ = ["Tensor", "Tape", "ShapeError", "finite_diff_check"]
+__all__ = ["Tensor", "Tape", "ShapeError"]

@@ -19,6 +19,7 @@ bit. Shapes render at intensity 1 on a zero background; overlaps stay 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,11 @@ class ShapeSceneParams:
     seed: int = 0
 
     def __post_init__(self):
+        # index() takes Python and numpy integers and rejects floats and strings
+        for name in ("n_sequences", "n_shapes", "H", "W", "T", "C", "seed"):
+            setattr(self, name, operator.index(getattr(self, name)))
         self.kinds = tuple(self.kinds)
-        self.sizes = tuple(int(s) for s in self.sizes)
+        self.sizes = tuple(map(operator.index, self.sizes))
         self.speeds = tuple(float(s) for s in self.speeds)
         if self.n_sequences < 1 or self.n_shapes < 1:
             raise GeometryError("need at least one sequence and one shape")

@@ -3,25 +3,25 @@ prediction entry points, parameter accounting and serialization.
 
 Layer wiring follows the four-layer reference architecture: each layer
 runs its directional scans over the incoming cuboid and blends them with
-a pointwise linear projection; where
-a skip pair (src, dst) is configured, the output cuboid of layer `dst` is
-concatenated with that of layer `src` along channels before feeding
-whatever consumes it (the next layer, or the output head after the last
-layer). The head takes the t = T slice of the final carry, projects it to
-the frame's channel count with a 1x1 `Tape.conv2d`, as the blend does,
-and applies a sigmoid, so predictions always land in (0, 1).
+a pointwise linear projection; where a skip pair (src, dst) is
+configured, the output cuboid of layer `dst` is concatenated with that of
+layer `src` along channels before feeding whatever consumes it (the next
+layer, or the output head after the last layer). The head takes the
+t = T slice of the final carry, projects it to the frame's channel count
+with a 1x1 `Tape.conv2d`, as the blend does, and applies a sigmoid, so
+predictions always land in (0, 1).
 
 `param_shapes(spec)` is the parameter table, the one description of the
 parameters: every tensor's name and shape, in draw order, which is also
-file order. Layers come in ascending order; within a layer, each direction group of `direction_groups(spec)`
-in DIRECTIONS order with its `kx`, `ks` and `b`, then `blend.weight` and
-`blend.bias`; last `head.weight` and `head.bias`. Under directional
-weight sharing (DWS) h-/h+ form group h and w-/w+ group w; without it
-each direction is its own group; the time-only baseline has the one
-group t- and no blend. Blend and head weights are stored as the 1x1
-kernels the forward convolves with, [1, 1, rows, N2] and [1, 1, Cin, C].
-`build` draws the table's entries from a seed and `count_from_spec` sums
-its shapes.
+file order. Layers come in ascending order; within a layer, each
+direction group of `direction_groups(spec)` in DIRECTIONS order with its
+`kx`, `ks` and `b`, then `blend.weight` and `blend.bias`; last
+`head.weight` and `head.bias`. Under directional weight sharing (DWS)
+h-/h+ form group h and w-/w+ group w; without it each direction is its
+own group; the time-only baseline has the one group t- and no blend.
+Blend and head weights are stored as the 1x1 kernels the forward
+convolves with, [1, 1, rows, N2] and [1, 1, Cin, C]. `build` draws the
+table's entries from a seed and `count_from_spec` sums its shapes.
 
 A model file is the spec plus the values: the magic b"CVPM", the u32
 MODEL_VERSION, the u64 length of the spec JSON, the spec JSON, then every
@@ -123,7 +123,6 @@ class ModelSpec:
 
     @classmethod
     def convlstm_baseline(cls, width: int = 16, n_layers: int = 20, **kw):
-        kw.setdefault("skip_pairs", [(1, 3), (2, 4)] if n_layers >= 4 else [])
         return cls(kind="convlstm_baseline", layers=[(width, width)] * n_layers,
                    dws=False, **kw)
 
@@ -167,8 +166,9 @@ def param_shapes(spec: ModelSpec) -> dict:
 
 
 class Layer:
-    """`unit_groups` maps each parameter group to its unit; `units` maps
-    each scanned direction, in DIRECTIONS order, to its group's unit.
+    """`units` maps each scanned direction, in DIRECTIONS order, to its
+    group's unit; the forward reads it. `unit_groups` maps each parameter
+    group to its unit; it is kept because the benchmark tracer reads it.
     `blend` is the layer's (blend.weight, blend.bias) pair of parameter
     tensors, as `pmd.blend` takes them, or None for a baseline layer."""
 
@@ -237,7 +237,8 @@ def build(spec: ModelSpec, seed: int) -> Model:
 
 def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
     """Differentiable forward pass. x: [N, T, H, W, C], the only layout;
-    returns the predicted next frames [N, H, W, C]."""
+    returns the predicted next frames [N, H, W, C]. Any other layout raises
+    ShapeError, then a non-finite input ValueError, before any scan runs."""
     spec = model.spec
     if x.data.ndim != 5:
         raise ShapeError(f"input must be [N, T, H, W, C], got rank {x.data.ndim}")
@@ -250,6 +251,8 @@ def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
         raise ShapeError(
             f"input has {x.data.shape[-1]} channels, spec expects {spec.in_channels}"
         )
+    if not np.all(np.isfinite(x.data)):
+        raise ValueError("input must be finite")
 
     outs = []
     cur = x

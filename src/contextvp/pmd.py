@@ -1,112 +1,49 @@
-"""Recurrent plane-scan units, the fused directional scan node, and
-context blending.
+"""Plane-scan LSTM units, the fused directional scan node, and blending.
 
 A scan unit is an LSTM whose gate transforms are same-padded 2-D
-convolutions within a plane. Cuboids are batched [N, T, H, W, C], the only
-layout the scans take. Scanning one along one of five directions (t-, h-,
-h+, w-, w+) emits a hidden-state cuboid of the same extent; the plane
-perpendicular to the scan axis is what the convolutions see, so spatial
-scans mix time and the remaining spatial axis, and the batch rides along.
+convolutions within a plane. A scan of an [N, T, H, W, C] cuboid along
+one of five directions (t-, h-, h+, w-, w+) emits a hidden-state cuboid
+of the same extent; its convolutions see the plane perpendicular to the
+scan axis. A unit stacks its four gates on the output-channel axis in
+GATES order (in, forget, out, cell), as Appleyard et al. 2016
+(arXiv:1604.01946) do: kx [k, k, Cin, 4Ch], ks [k, k, Ch, 4Ch] and
+b [4Ch], gate j owning channels [j*Ch, (j+1)*Ch), so a plane step is one
+input and one state matmul.
 
-A unit stores its four gates stacked on the output-channel axis in GATES
-order (in, forget, out, cell), the layout of Appleyard et al. 2016
-(arXiv:1604.01946): an input kernel kx [k, k, Cin, 4Ch], a state kernel
-ks [k, k, Ch, 4Ch] and a bias b [4Ch], gate j owning output channels
-[j*Ch, (j+1)*Ch). A plane step is then one input and one state matmul,
-and the scan node reads and writes these arrays as stored. Directions
-share parameters by sharing one PMDUnit object, as the model's
-direction groups do under directional weight sharing (DWS).
+Direction groups. `pmd_layer` records a layer's scans as one tape node,
+its directions grouped by (unit object, scan axis): under directional
+weight sharing (DWS), where opposite directions share one PMDUnit object,
+{t-}, {h-, h+} and {w-, w+}, else one direction per group. A group
+projects its input planes once (PatchRows, matmul, bias) and runs one
+recurrence per direction on that projection.
 
-`pmd_layer` records a layer's scans as one tape node. Its forward runs
-each direction's recurrence plane by plane in plain numpy, with the float
-operations of the tape-composed step (conv2d, gate slices, sigmoid, tanh,
-mul, add), so its values are bit-identical to that chain. Each plane step
-writes into buffers made once per sweep, the state straight into its
-plane of the output. exp and tanh only ever read and write contiguous
-buffers: numpy may run a strided operand through another SIMD loop,
-whose last bits differ. The node returns the directions' states
-concatenated on the channel axis in DIRECTIONS order; the time-only
-ConvLSTM baseline uses the same node with only t-.
+Bit-identity. The forward runs the float operations of the tape-composed
+step (conv2d, gate slices, sigmoid, tanh, mul, add) on contiguous buffers
+(see `_Sweep.forward`), so its values equal that chain's bit for bit. The
+ks and kx gradients are summed plane by plane (`_kernel_grad`), so no
+backward buffer spans more than one plane; they differ from one
+whole-layer matmul by under 1e-14 of each tensor's largest entry.
 
-The node groups its directions by (unit object, scan axis): under DWS,
-{t-}, {h-, h+} and {w-, w+}; otherwise one direction per group. A
-group's directions read the same planes through the same kx and b, so
-forward and backward alike have one input side per group and one
-recurrence per direction. The forward projects the group's input plane
-by plane (im2col, matmul, bias) into one [L, *plane, 4Ch] buffer, then
-runs each direction's recurrence on it. Hoisting the projection out of
-the recurrence follows Appleyard et al. 2016 (arXiv:1604.01946); it stays
-per plane because a whole-cuboid projection is slower at these shapes.
-The backward has two phases per group. The critical phase runs BPTT
-over the whole batch per direction, adds the group's pre-activation
-gradients and takes one input gradient from the sum; it is what the
-next node down the tape waits for. The deferred phase takes the ks
-gradient per direction, then one kx gradient and one bias sum from the
-pre-activation gradients added again, in place: parameter gradients,
-which nothing further down reads. A pair's sum is thus made twice when
-the input needs a gradient: holding it in a third buffer until the
-deferred phase ended raised train-ctx16's peak RSS about 3% more. A kx
-or b tensor shared within a group gets its gradient once, at its first
-slot among the node's inputs. The input gradients are summed in group
-order; tensors shared across groups get one contribution per group.
+Backward phases, per group. The critical phase, which the next node down
+the tape waits for, runs BPTT over the whole batch per direction, adds
+the pre-activation gradients and takes one input gradient from the sum.
+The deferred phase then takes the ks gradient per direction, and the kx
+gradient and bias sum from the pre-activation gradients added again in
+place, as one task whose gradients the node returns as futures (see
+`Tape.record`). A kx or b shared within a group gets its gradient once.
 
-Both kernel gradients are summed plane by plane (`_kernel_grad`): one
-reused PatchRows buffer holds a plane's patch rows, and
-rows(plane).T @ dpre[plane] is added in plane order, the tiling of the
-lowered matrix that implicit-GEMM convolution uses (Chetlur et al. 2014,
-arXiv:1410.0759). So no backward builds a whole layer's patch rows,
-which for layer 3's kx gradient would be 17.7 MB per group at 16x16 and
-283 MB at 64x64: at 16x16 this takes about 10% off the default step's
-peak memory, in no more time. The sum runs in another order than one
-whole-layer matmul, so ks and kx gradients differ from that matmul's in
-the last bits: by under 1e-14 of each tensor's largest entry over the
-default spec, the baseline, a no-DWS spec and a k=5 spec at N = 1 and
-4. The bias sums and every other gradient are the same. The critical
-phase's input gradient stays one whole-layer `conv_input_grad`.
+Thread rule. A recorded node (the tape records and some input needs a
+gradient) runs its groups' forward and critical phases on a module-level
+pool of min(len(DIRECTIONS), usable cores) threads and the calling
+thread; an unrecorded node runs them in the calling thread. Only a thread
+outside the pool hands the pool work, so no pool task waits on another.
+Results are combined in a fixed order, so values and gradients are the
+same bits at any thread count.
 
-The groups are independent given the layer input, so they can run
-concurrently, as in PyraMiD-LSTM (Stollenga et al. 2015,
-arXiv:1506.07452). A recorded node (the tape records and some input needs
-a gradient) runs its groups' forward and critical phases on a
-module-level pool of min(len(DIRECTIONS), usable cores) threads, which
-starts them on its first task, and on the calling thread, which takes
-the last task when the pool has a thread for each of the others; numpy
-releases the interpreter lock inside its array loops and BLAS calls. An
-unrecorded node, as in inference, runs them in the calling thread: at
-batch 1 the pool gave no speed-up and raised peak memory. Each group's
-arithmetic does not depend on the thread that runs it, and the results
-are combined in a fixed order, so values and gradients are bit-identical
-with and without the pool.
-
-The node hands the pool one deferred task per group as soon as it has
-read that group's critical phase, and returns the tasks' gradients as
-futures (see `Tape.record`). The tape adds them after its sweep, so they
-run beside the critical phases of the layers below, the idea of
-wait-free backpropagation (Zhang et al. 2017, arXiv:1706.03292). With one
-pool thread they run at once in the calling thread.
-
-One split rule: a recorded node with exactly one group, such as a layer
-of the time-only baseline, splits its batch, along which the planes are
-independent too, into min(N, threads) contiguous slices of axis 0 of the
-cuboid, axis 1 of every plane-first buffer; every other node runs one
-task per group. The rule reads only the group count and the batch size.
-A split node projects and scans each slice forward as its own task, and
-backward takes each slice's input gradient as its own task. Its BPTT
-and its parameter gradients stay whole-batch: two BPTT slices of one
-layer were measured to wait on each other for the interpreter lock,
-and the deferred phase keeps the second core busy instead. A DWS layer
-(three groups) is not split, as splitting its batch as well was
-measured 1.22x slower. A split group is the only item of its node's
-group list, so it runs in the calling thread, which alone hands the pool
-the slices: only a thread outside the pool hands the pool work, and no
-pool task ever waits on another.
-
-Blending is a 1x1 `Tape.conv2d` of the concatenated states, as the
-model's head is, with the layer's weight and bias as stored. The
-weight's row count selects the mode: a [1, 1, 5*N1, N2] kernel, one row
-per state channel, is used as it is (weighted); a [1, 1, N1, N2] kernel
-is tiled five times along its input-channel axis (uniform), which equals
-summing the five directions and projecting.
+Split rule. A recorded node with exactly one group, such as a baseline
+layer, splits its batch into min(N, threads) contiguous slices, each
+slice's projection, scan and input gradient a task of its own; BPTT and
+the parameter gradients stay whole-batch. Other nodes run a task per group.
 """
 
 from __future__ import annotations
@@ -118,9 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from contextvp.tensor import (
-    InputGrad, PatchRows, ShapeError, Tape, Tensor, conv_input_grad,
-)
+from contextvp.tensor import InputGrad, PatchRows, ShapeError, Tape, Tensor
 
 DIRECTIONS = ("t-", "h-", "h+", "w-", "w+")
 GATES = ("in", "forget", "out", "cell")
@@ -261,7 +196,7 @@ class _Sweep:
         operations are those of the tape-composed step's backward, in the
         same order; every plane step writes into buffers made once. Each
         gate's products run in contiguous buffers and write its strided
-        slice of dpre once: chaining them in the slice was about 9% slower."""
+        slice of dpre once."""
         ch = self.ch
         gs = self.planes(g[..., self.span])
         acts, cells = self.acts, self.cells
@@ -300,9 +235,8 @@ class _Sweep:
 
     def state_kernel_grad(self, out: np.ndarray, dpre: np.ndarray) -> np.ndarray:
         """The ks gradient from this direction's pre-activation gradients,
-        summed per plane by `_kernel_grad` so that no patch rows span the
-        layer: plane i's gradient pairs with the state of the plane
-        before it in scan order."""
+        by `_kernel_grad`: plane i's gradient pairs with the state of the
+        plane before it in scan order."""
         states = self.planes(out[..., self.span])
         seen, fed = (slice(None, -1), slice(1, None))
         if self.reverse:
@@ -315,9 +249,8 @@ def _kernel_grad(inputs: np.ndarray, grads: np.ndarray, shape) -> np.ndarray:
     convolved with each plane of the plane-first `inputs` [L, *plane, C],
     given the plane-first output gradients `grads` [L, *plane, Cout]: the
     sum over planes, in plane order, of rows(plane).T @ grads[plane],
-    with one PatchRows reused for every plane. No buffer spans more than
-    one plane; the result differs from one whole-layer matmul only in
-    the last bits, under 1e-14 relative (see the module docstring)."""
+    with one PatchRows reused for every plane: within 1e-14 of one
+    whole-layer matmul (see the module docstring)."""
     k, _, _, cout = shape
     rows = PatchRows(inputs.shape[1:], k, k)
     total = np.zeros((rows.rows.shape[1], cout))
@@ -365,14 +298,12 @@ def _group_backward(group: list, batches: list, g: np.ndarray, need_x: bool):
     for sw, dpre in zip(group, dpres):
         sw.bptt(g, dpre)
     kx = group[0].kx
-    gx = None
-    if need_x:
-        gx = list(_map(
-            lambda b: conv_input_grad(functools.reduce(np.add, [d[:, b] for d in dpres]), kx),
-            batches,
-            parallel=True,
-        ))
-    return dpres, gx
+
+    def input_grad(b):
+        dsum = functools.reduce(np.add, [d[:, b] for d in dpres])
+        return InputGrad(dsum.shape, kx)(dsum)
+
+    return dpres, list(_map(input_grad, batches, parallel=True)) if need_x else None
 
 
 def _param_grads(group: list, x, out, dpres: list) -> list:
@@ -381,9 +312,7 @@ def _param_grads(group: list, x, out, dpres: list) -> list:
     sum of the pre-activation gradients, made in place in the first once
     the ks gradients have read them all. The task owns `dpres` and empties
     it while summing, so a pair's second buffer is freed before the kx
-    gradient is taken. Both kernel gradients are summed per plane by
-    `_kernel_grad`, so no patch rows span the layer, within 1e-14
-    relative of one whole-layer matmul; the bias sum is unchanged."""
+    gradient is taken."""
     first = group[0]
     gks = [sw.state_kernel_grad(out, dpre) for sw, dpre in zip(group, dpres)]
     dsum = dpres.pop(0)
@@ -432,13 +361,11 @@ def _start(fn, *args, parallel: bool) -> Future:
 
 def _map(fn, items, parallel: bool):
     """fn(item) for each item, yielded in order. When `parallel` and more
-    than one thread would get work, all items are started before the
-    first result is read: on the shared pool, except the last, which the
-    calling thread runs itself if the pool has a thread for each of the
-    others, so never more items run at once than the pool has threads.
-    Otherwise each item runs in the calling thread as it is read. Only a
-    thread outside the pool may ask for `parallel`, so no pool task ever
-    waits on another."""
+    than one thread would get work, all items start before the first
+    result is read, on the shared pool but for the last, which the calling
+    thread runs if the pool has a thread for each of the others; otherwise
+    each item runs in the calling thread as it is read. Only a thread
+    outside the pool may ask for `parallel` (see the thread rule)."""
     if not (parallel and min(len(items), _THREADS) > 1):
         for item in items:
             yield fn(item)

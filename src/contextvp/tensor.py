@@ -1,10 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The op set is deliberately small: exactly what recurrent convolutional
-prediction models and their losses need. All arrays are numpy float64 in
-row-major layout. Gradients are accumulated in reverse tape-insertion
-order, so two runs over identical inputs produce bit-identical forward
-values and gradients.
+All arrays are numpy float64 in row-major layout. Gradients are
+accumulated in reverse tape-insertion order, so two runs over identical
+inputs produce bit-identical forward values and gradients.
 """
 
 from __future__ import annotations
@@ -21,18 +19,12 @@ class ShapeError(ValueError):
     pass
 
 
-def im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Patch rows [positions, kh*kw*C] of the same-padded [..., A, B, C]
-    array x, one row per position, ordered (dh, dw, c) like the first three
-    axes of a [kh, kw, C, Cout] kernel. Out-of-range input is zero."""
-    return PatchRows(x.shape, kh, kw)(x)
-
-
 class PatchRows:
-    """`im2col` for a stream of same-shaped [..., A, B, C] arrays. The
-    zero-padded buffer, its window view and the row buffer are made once,
-    so each call is two copies. The rows returned are overwritten by the
-    next call."""
+    """im2col for a stream of same-shaped [..., A, B, C] arrays: each call
+    returns the same-padded array's patch rows [positions, kh*kw*C],
+    ordered (dh, dw, c) like a [kh, kw, C, Cout] kernel's first three
+    axes, out-of-range input zero. The buffers are made once, so a call is
+    two copies; the rows returned are overwritten by the next call."""
 
     def __init__(self, shape, kh: int, kw: int):
         *lead, a, b, c = shape
@@ -52,10 +44,11 @@ class PatchRows:
 
 
 class InputGrad:
-    """`conv_input_grad` for a stream of same-shaped output gradients
-    through one kernel. The zero-padded input gradient and the tap
-    product buffer are made once, so each call allocates nothing. The
-    gradient returned is overwritten by the next call."""
+    """A same-padded conv's input gradient [..., A, B, Cin] through kernel
+    kd [kh, kw, Cin, Cout], for a stream of same-shaped output gradients
+    [..., A, B, Cout]: one matmul per kernel tap. The buffers are made
+    once, so a call allocates nothing; the gradient returned is
+    overwritten by the next call."""
 
     def __init__(self, shape, kd: np.ndarray):
         *lead, a, b, _ = shape
@@ -78,13 +71,6 @@ class InputGrad:
         return self._inner
 
 
-def conv_input_grad(g: np.ndarray, kd: np.ndarray) -> np.ndarray:
-    """Gradient of a same-padded conv with kernel kd [kh, kw, Cin, Cout]
-    with respect to its [..., A, B, Cin] input, given the output gradient
-    g [..., A, B, Cout]: one matmul per kernel tap."""
-    return InputGrad(g.shape, kd)(g)
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
@@ -99,10 +85,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -164,13 +146,11 @@ class Tape:
         some input needs a gradient, also append a node whose
         `backward_fn(out_grad)` returns one gradient (or None) per input.
 
-        Any gradient may instead be a `concurrent.futures.Future` of the
-        array, and `backward` adds its result in that place among the
-        input's contributions (see there). The sweep runs on while a leaf's
-        future is pending, so a node hands back a parameter's gradient
-        this way to take it off the critical path; for a tensor a node
-        produced, `backward` waits on the future when it reaches that
-        node. The future's work must finish without `backward` doing
+        A gradient may instead be a `concurrent.futures.Future` of the
+        array, added in its place among the input's contributions (see
+        `backward`). The sweep runs on while a leaf's future is pending, so
+        a parameter's gradient handed back this way is off the critical
+        path. The future's work must finish without `backward` doing
         anything more."""
         out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
         if self.recording and out.requires_grad:
@@ -303,13 +283,10 @@ class Tape:
 
         return self.record("concat", tensors, out, backward)
 
-    def index(self, a: Tensor, axis: int, i: int) -> Tensor:
-        """Take the subarray at position i along `axis` (rank drops by 1)."""
-        axis = _axis_index(axis, a.data.ndim)
-        if not 0 <= i < a.data.shape[axis]:
-            raise ShapeError(f"index {i} out of range on axis {axis}")
-        sel = (slice(None),) * axis + (i,)
-        out = a.data[sel].copy()
+    def _select(self, kind: str, a: Tensor, axis: int, key) -> Tensor:
+        """A copy of a.data[key] on `axis`, recorded as a `kind` node whose
+        gradient scatters back into zeros shaped like a."""
+        sel = (slice(None),) * axis + (key,)
         shape = a.data.shape
 
         def backward(g):
@@ -317,7 +294,14 @@ class Tape:
             full[sel] = g
             return (full,)
 
-        return self.record("index", (a,), out, backward)
+        return self.record(kind, (a,), a.data[sel].copy(), backward)
+
+    def index(self, a: Tensor, axis: int, i: int) -> Tensor:
+        """Take the subarray at position i along `axis` (rank drops by 1)."""
+        axis = _axis_index(axis, a.data.ndim)
+        if not 0 <= i < a.data.shape[axis]:
+            raise ShapeError(f"index {i} out of range on axis {axis}")
+        return self._select("index", a, axis, i)
 
     # unused by the model; tests/oracles.py stacks plane states with it, and
     # the benchmark tracer patches it by name
@@ -344,16 +328,7 @@ class Tape:
             raise ShapeError(
                 f"slice [{start}:{stop}] invalid for extent {extent} on axis {axis}"
             )
-        sel = (slice(None),) * axis + (slice(start, stop),)
-        out = a.data[sel].copy()
-        shape = a.data.shape
-
-        def backward(g):
-            full = np.zeros(shape, dtype=np.float64)
-            full[sel] = g
-            return (full,)
-
-        return self.record("slice", (a,), out, backward)
+        return self._select("slice", a, axis, slice(start, stop))
 
     # unused by the model; the benchmark tracer patches it by name
     def reshape(self, a: Tensor, shape) -> Tensor:
@@ -387,13 +362,12 @@ class Tape:
         kernel: [kh, kw, Cin, Cout]; bias: [Cout] or None. Out-of-range
         input is treated as zero.
 
-        The forward and the kernel gradient multiply patch rows (`im2col`)
-        by the kernel, and the input gradient takes one matmul per tap
-        (`conv_input_grad`). A 1x1 kernel, as in blending and the model's
-        head, has the input's own rows, x.reshape(-1, Cin), as its patch
-        rows, and one tap, whose input gradient is g @ kernel[0, 0].T: it
-        skips the padded and patch copies and the zero-filled sum, and
-        gives the same values bit for bit.
+        The forward and the kernel gradient multiply patch rows
+        (`PatchRows`) by the kernel, and the input gradient takes one
+        matmul per tap (`InputGrad`). A 1x1 kernel, as in blending and the
+        model's head, has x.reshape(-1, Cin) as its patch rows and
+        g @ kernel[0, 0].T as its input gradient: the same values bit for
+        bit, without the padded and patch copies.
         """
         kd = kernel.data
         if kd.ndim != 4:
@@ -416,7 +390,7 @@ class Tape:
         pointwise = kh == kw == 1
 
         def rows():  # made again in backward rather than kept alive
-            return xd.reshape(-1, cin) if pointwise else im2col(xd, kh, kw)
+            return xd.reshape(-1, cin) if pointwise else PatchRows(xd.shape, kh, kw)(xd)
 
         out = (rows() @ kd.reshape(kh * kw * cin, cout)).reshape(xd.shape[:-1] + (cout,))
         if bias is not None:
@@ -429,7 +403,7 @@ class Tape:
             if kernel.requires_grad:
                 gk = (rows().T @ g2).reshape(kd.shape)
             if x.requires_grad:
-                gx = np.matmul(g, kd[0, 0].T) if pointwise else conv_input_grad(g, kd)
+                gx = np.matmul(g, kd[0, 0].T) if pointwise else InputGrad(g.shape, kd)(g)
             gb = g2.sum(axis=0) if (bias is not None and bias.requires_grad) else None
             if bias is None:
                 return (gx, gk)
@@ -438,53 +412,3 @@ class Tape:
         inputs = (x, kernel) if bias is None else (x, kernel, bias)
         return self.record("conv2d", inputs, out, backward)
 
-
-def finite_diff_check(f, params, h: float = 1e-6, kink_tol: float = 1e-2):
-    """Compare analytic gradients of ``f`` against central differences.
-
-    ``f(tape, params) -> scalar Tensor`` must be a pure function of the
-    parameter values. Returns ``(max_rel_err, excluded)`` where the error is
-    max over parameter entries of |analytic - numeric| / max(1, |analytic|),
-    and ``excluded`` lists (param_index, flat_index) entries whose second
-    difference |f(+h) + f(-h) - 2 f(0)| / (2h) exceeded ``kink_tol`` --
-    i.e. points sitting on a kink of a piecewise-smooth objective, where a
-    central difference is meaningless.
-    """
-    tape = Tape()
-    loss = f(tape, params)
-    if loss.data.shape != ():
-        raise ShapeError("finite_diff_check: f must return a scalar")
-    f0 = float(loss.data)
-    if not np.isfinite(f0):
-        raise FloatingPointError("finite_diff_check: f evaluated non-finite")
-    tape.backward(loss)
-    analytic = [
-        p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
-    ]
-
-    def value() -> float:
-        v = float(f(Tape(recording=False), params).data)
-        if not np.isfinite(v):
-            raise FloatingPointError("finite_diff_check: f evaluated non-finite")
-        return v
-
-    max_rel = 0.0
-    excluded = []
-    for pi, p in enumerate(params):
-        flat = p.data.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            fp = value()
-            flat[idx] = orig - h
-            fm = value()
-            flat[idx] = orig
-            if abs(fp + fm - 2.0 * f0) / (2.0 * h) > kink_tol:
-                excluded.append((pi, idx))
-                continue
-            numeric = (fp - fm) / (2.0 * h)
-            a = analytic[pi].reshape(-1)[idx]
-            rel = abs(a - numeric) / max(1.0, abs(a))
-            if rel > max_rel:
-                max_rel = rel
-    return max_rel, excluded

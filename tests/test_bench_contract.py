@@ -2,6 +2,7 @@
 rename in the package breaks this test rather than only a traced run."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -64,3 +65,13 @@ def test_tracer_attaches_to_a_reloaded_model(tmp_path):
         assert t.summarize([0], [0])["model.forward_s"] > 0.0
     finally:
         t.uninstall()
+
+
+def test_tracer_still_names_each_tracer_only_src_name():
+    # pmd.pmd_scan, Tape.relu, Tape.reshape, Tape.layer_norm and
+    # Layer.unit_groups stay in src only because the tracer looks them up:
+    # once it stops naming one, this fails until the src copy is deleted
+    tracer = load_tracer()
+    assert "pmd_scan" in {attr for _, attr, _ in tracer.FUNCTIONS}
+    assert {"relu", "reshape", "layer_norm"} <= set(tracer.TAPE_OPS)
+    assert ".unit_groups" in inspect.getsource(tracer.Tracer.attach)

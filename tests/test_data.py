@@ -74,6 +74,22 @@ class TestGenerate:
         with pytest.raises(GeometryError, match="speeds must be finite and >= 0"):
             ShapeSceneParams(speeds=(1.0, speed))
 
+    @pytest.mark.parametrize("field, value", [
+        ("sizes", (2.7,)), ("T", 2.5), ("H", 16.0), ("seed", 1.5), ("C", 1.0), ("n_shapes", 1.0),
+    ])
+    def test_integer_fields_refuse_non_integers_at_construction(self, field, value):
+        # neither truncated nor left to fail inside generate_bouncing_shapes
+        with pytest.raises(TypeError):
+            ShapeSceneParams(**{field: value})
+
+    def test_numpy_integer_fields_become_python_ints(self):
+        params = ShapeSceneParams(n_sequences=np.int64(2), H=np.int32(8), W=np.int64(8),
+                                  T=np.int64(3), sizes=(np.int64(3),), seed=np.uint64(5))
+        plain = ShapeSceneParams(n_sequences=2, H=8, W=8, T=3, sizes=(3,), seed=5)
+        assert params == plain
+        assert all(type(v) is int for v in (params.n_sequences, params.H, params.T, params.seed))
+        assert type(params.sizes[0]) is int
+
     def test_window_pairs(self):
         dataset = Dataset(np.arange(2 * 5, dtype=float).reshape(2, 5, 1, 1, 1) / 16)
         pairs = window(dataset, input_len=3)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contextvp.prng import SplitMix64
-from contextvp.tensor import Tensor, Tape, ShapeError, finite_diff_check
+from contextvp.tensor import Tensor, Tape, ShapeError
 from contextvp.loss_optim import (
     AdamState,
     LossSpec,
@@ -14,6 +14,7 @@ from contextvp.loss_optim import (
     lr_schedule,
     xavier_uniform,
 )
+from gradcheck import finite_diff_check
 
 
 def frame(arr):

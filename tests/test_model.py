@@ -16,7 +16,7 @@ from contextvp.loss_optim import (
     xavier_uniform,
 )
 from contextvp.prng import SplitMix64
-from contextvp.tensor import Tensor, Tape, ShapeError, finite_diff_check
+from contextvp.tensor import Tensor, Tape, ShapeError
 from contextvp.pmd import DIRECTIONS, GATES
 from contextvp.model import (
     MODEL_MAGIC,
@@ -34,6 +34,7 @@ from contextvp.model import (
     predict_recursive,
     save_model,
 )
+from gradcheck import finite_diff_check
 from oracles import pmd_step
 
 
@@ -182,6 +183,22 @@ class TestForward:
         model = build(tiny_spec(), 0)
         with pytest.raises(ShapeError, match=r"\[N, T, H, W, C\], got rank 4"):
             forward_cuboid(Tape(recording=False), model, Tensor(np.zeros((2, 4, 4, 1))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_forward_cuboid_rejects_non_finite_input_before_any_scan(self, bad, monkeypatch):
+        # the training entry point: forward_predict's range check does not cover it
+        model = build(tiny_spec(), 0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pmd_layer called")
+
+        monkeypatch.setattr(model_module, "pmd_layer", refuse)
+        x = np.full((2, 2, 4, 4, 1), 0.5)
+        x[1, 0, 2, 3, 0] = bad
+        tape = Tape()
+        with pytest.raises(ValueError, match="input must be finite"):
+            forward_cuboid(tape, model, Tensor(x, requires_grad=True))
+        assert tape.nodes == []
 
     def test_predict_window_rank_checked_before_values_and_forward(self, monkeypatch):
         # a batch of windows is not one window, whatever its values
@@ -345,7 +362,7 @@ class TestCounting:
         spec = ModelSpec.convlstm_baseline(width=2, n_layers=1, in_channels=1)
         model = build(spec, 0)
         unit_scalars = sum(
-            t.size for n, t in model.parameters.items() if n.startswith("layer1.")
+            t.data.size for n, t in model.parameters.items() if n.startswith("layer1.")
         )
         assert unit_scalars == 224
 
@@ -365,7 +382,7 @@ class TestCounting:
         tied_spec = ModelSpec(layers=[(3, 3), (4, 4)], dws=True)
         untied = build(untied_spec, 0)
         removed = sum(
-            t.size
+            t.data.size
             for name, t in untied.parameters.items()
             if name.split(".")[1] in ("h+", "w+")
         )

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contextvp.tensor import (
-    InputGrad, Tensor, Tape, ShapeError, conv_input_grad, finite_diff_check, im2col,
-)
+from contextvp.tensor import InputGrad, PatchRows, Tensor, Tape, ShapeError
+from gradcheck import finite_diff_check
 from oracles import naive_conv2d
 
 
@@ -82,17 +81,17 @@ class TestConv2d:
     @pytest.mark.parametrize("shape", [(5, 6, 3), (2, 3, 5, 6, 3)])
     @pytest.mark.parametrize("strided", [False, True])
     def test_1x1_equals_im2col_route(self, shape, strided):
-        # a 1x1 kernel takes the input's rows without im2col and its one
-        # tap without conv_input_grad: values and gradients bit for bit
+        # a 1x1 kernel takes the input's rows without PatchRows and its one
+        # tap without InputGrad: values and gradients bit for bit
         x = rand(shape[:-2] + (2 * shape[-2], 3), 8)[..., ::2, :] if strided else rand(shape, 8)
         k, b, g = rand((1, 1, 3, 4), 9), rand((4,), 10), rand(shape[:-1] + (4,), 11)
         params = [Tensor(a, requires_grad=True) for a in (x, k, b)]
         tape = Tape()
         out = tape.conv2d(*params)
         tape.backward(tape.sum(tape.mul(out, Tensor(g))))
-        rows, g2 = im2col(x, 1, 1), g.reshape(-1, 4)
+        rows, g2 = PatchRows(x.shape, 1, 1)(x), g.reshape(-1, 4)
         np.testing.assert_array_equal(out.data, (rows @ k.reshape(3, 4)).reshape(g.shape) + b)
-        np.testing.assert_array_equal(params[0].grad, conv_input_grad(g, k))
+        np.testing.assert_array_equal(params[0].grad, InputGrad(g.shape, k)(g))
         np.testing.assert_array_equal(params[1].grad, (rows.T @ g2).reshape(k.shape))
         np.testing.assert_array_equal(params[2].grad, g2.sum(axis=0))
 
@@ -385,7 +384,7 @@ class TestInputGrad:
         first, second = rand((2, 4, 6, 5), 1), rand((2, 4, 6, 5), 2)
         stream = InputGrad(first.shape, kd)
         stream(first)
-        assert stream(second).tobytes() == conv_input_grad(second, kd).tobytes()
+        assert stream(second).tobytes() == InputGrad(second.shape, kd)(second).tobytes()
 
 
 class TestFiniteDiffCheck:
