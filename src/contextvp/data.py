@@ -61,6 +61,11 @@ class ShapeSceneParams:
         # index() takes Python and numpy integers and rejects floats and strings
         for name in ("n_sequences", "n_shapes", "H", "W", "T", "C", "seed"):
             setattr(self, name, operator.index(getattr(self, name)))
+        for name in ("kinds", "sizes", "speeds"):
+            # tuple() would split a string into characters and fail on a number
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
+                raise TypeError(f"{name} must be a sequence, got {value!r}")
         self.kinds = tuple(self.kinds)
         self.sizes = tuple(map(operator.index, self.sizes))
         self.speeds = tuple(float(s) for s in self.speeds)

@@ -110,12 +110,18 @@ def lr_schedule(epoch: int) -> float:
 @dataclass
 class AdamState:
     """Moment estimates keyed like the parameter map they mirror; the
-    moment decays are BETA1 and BETA2, the denominator's offset EPS."""
+    moment decays are BETA1 and BETA2, the denominator's offset EPS. The
+    learning rate must be finite and positive: a NaN one would turn every
+    parameter into NaN at the first step."""
 
     lr: float = BASE_LEARNING_RATE
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
 
     @classmethod
     def for_parameters(cls, params: dict, lr: float = BASE_LEARNING_RATE):

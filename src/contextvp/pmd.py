@@ -24,13 +24,22 @@ ks and kx gradients are summed plane by plane (`_kernel_grad`), so no
 backward buffer spans more than one plane; they differ from one
 whole-layer matmul by under 1e-14 of each tensor's largest entry.
 
+Stored state. A recorded node keeps its output and, per direction, the
+gate activations `acts` [4Ch per position], all directions' in one
+block; it keeps no cells. BPTT rebuilds a direction's cells from its
+`acts` (`_Sweep.cells`) with the forward's multiplies and adds on the
+same operands, which are correctly rounded, so the rebuilt cells are the
+forward's bit for bit, on every backward of the tape.
+
 Backward phases, per group. The critical phase, which the next node down
-the tape waits for, runs BPTT over the whole batch per direction, adds
-the pre-activation gradients and takes one input gradient from the sum.
-The deferred phase then takes the ks gradient per direction, and the kx
-gradient and bias sum from the pre-activation gradients added again in
-place, as one task whose gradients the node returns as futures (see
-`Tape.record`). A kx or b shared within a group gets its gradient once.
+the tape waits for, runs BPTT over the whole batch per direction, then
+takes the input gradient: a lone direction's from its pre-activation
+gradients in one call, a pair's plane by plane from the two directions'
+sum for that plane, so no sum spans the layer. The deferred phase then
+takes the ks gradient per direction, and the kx gradient and bias sum
+from the pre-activation gradients added in place, as one task whose
+gradients the node returns as futures (see `Tape.record`). A kx or b
+shared within a group gets its gradient once.
 
 Thread rule. A recorded node (the tape records and some input needs a
 gradient) runs its groups' forward and critical phases on a module-level
@@ -48,7 +57,7 @@ the parameter gradients stay whole-batch. Other nodes run a task per group.
 
 from __future__ import annotations
 
-import functools
+import math
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -118,12 +127,14 @@ class _Sweep:
     Arrays shaped like the cuboid are viewed plane-first, [L, *plane, C]
     with plane = (N, A, B), the scanned axis moved to the front; plane i
     is the cuboid's i-th slice along that axis, whatever the scan order.
-    With `keep`, the gate activations `acts` [L, *plane, 4Ch] and cells
-    [L, *plane, Ch] are stored for backward. The recurrence runs on a
-    batch slice `b` of them, axis 0 of the cuboid and axis 1 plane-first.
+    Given a flat block `acts`, the gate activations are stored in it for
+    backward, viewed as [L, *plane, 4Ch]; the cells are not, as `cells`
+    rebuilds them bit for bit. The recurrence runs on a batch slice `b`,
+    axis 0 of the cuboid and axis 1 plane-first.
     """
 
-    def __init__(self, direction: str, unit: PMDUnit, cuboid: Tensor, offset: int, keep: bool):
+    def __init__(self, direction: str, unit: PMDUnit, cuboid: Tensor, offset: int,
+                 acts: np.ndarray | None):
         self.axis, self.reverse = _SCAN[direction]
         self.order = list(range(cuboid.data.shape[self.axis]))
         if self.reverse:
@@ -134,8 +145,7 @@ class _Sweep:
         self.span = slice(offset, offset + self.ch)
         self.kx, self.ks, self.b = unit.kx.data, unit.ks.data, unit.b.data
         lead = self.planes(cuboid.data).shape[:-1]
-        self.acts = np.empty(lead + (4 * self.ch,)) if keep else None
-        self.cells = np.empty(lead + (self.ch,)) if keep else None
+        self.acts = None if acts is None else acts.reshape(lead + (4 * self.ch,))
 
     def planes(self, a: np.ndarray) -> np.ndarray:
         return np.moveaxis(a, self.axis, 0)
@@ -159,9 +169,7 @@ class _Sweep:
         cand, ic, tc = (np.empty(plane + (ch,)) for _ in range(3))
         gate_in, gate_forget, gate_out = gates[..., :ch], gates[..., ch:2 * ch], gates[..., 2 * ch:]
         acts = None if self.acts is None else self.acts[:, b]
-        cells = None if self.cells is None else self.cells[:, b]
-        # the cell: this direction's cells when kept, else one buffer updated in place
-        c = None if cells is not None else np.empty(plane + (ch,))
+        c = np.empty(plane + (ch,))  # the cell, updated in place
         prev = None
         for i in self.order:
             p = proj[i]
@@ -175,20 +183,32 @@ class _Sweep:
             np.divide(1.0, gates, out=gates)
             np.copyto(cand, p[..., 3 * ch:])
             np.tanh(cand, out=cand)
-            if cells is not None:
-                c = cells[i]
             if prev is None:
                 np.multiply(gate_in, cand, out=c)
             else:
                 np.multiply(gate_in, cand, out=ic)
-                np.multiply(gate_forget, c_prev, out=c)
+                np.multiply(gate_forget, c, out=c)
                 np.add(c, ic, out=c)
             np.tanh(c, out=tc)
             np.multiply(gate_out, tc, out=states[i])
             if acts is not None:  # after p is read: p may be acts[i]
                 acts[i, ..., :3 * ch] = gates
                 acts[i, ..., 3 * ch:] = cand
-            prev, c_prev = i, c
+            prev = i
+
+    def cells(self) -> np.ndarray:
+        """This direction's cells [L, *plane, Ch], rebuilt from the stored
+        `acts` by the forward's operations in scan order: in * cand for
+        every plane, then forget * (the previous cell) + that. Multiply
+        and add are correctly rounded and see the forward's operands, so
+        these are the forward's cells bit for bit."""
+        ch, acts = self.ch, self.acts
+        cells = np.multiply(acts[..., :ch], acts[..., 3 * ch:])
+        fc = np.empty(cells.shape[1:])
+        for prev, i in zip(self.order, self.order[1:]):
+            np.multiply(acts[i, ..., ch:2 * ch], cells[prev], out=fc)
+            np.add(fc, cells[i], out=cells[i])
+        return cells
 
     def bptt(self, g: np.ndarray, dpre: np.ndarray) -> None:
         """BPTT over the whole batch's planes in reverse scan order, writing
@@ -199,7 +219,7 @@ class _Sweep:
         slice of dpre once."""
         ch = self.ch
         gs = self.planes(g[..., self.span])
-        acts, cells = self.acts, self.cells
+        acts, cells = self.acts, self.cells()
         plane = cells.shape[1:-1]
         tc, t, u, d_s, d_c, dc = (np.empty(plane + (ch,)) for _ in range(6))
         state_grad = InputGrad(dpre.shape[1:], self.ks)
@@ -292,16 +312,30 @@ def _group_backward(group: list, batches: list, g: np.ndarray, need_x: bool):
     """A direction group's critical phase: whole-batch BPTT per direction
     into its pre-activation gradients, then, when `need_x`, the group's
     plane-first input gradient from their sum, one `_map` item per batch
-    slice. Returns (the pre-activation gradient per direction, the input
-    gradient per batch slice or None)."""
+    slice; a pair's sum is made and lowered one plane at a time. Returns
+    (the pre-activation gradient per direction, the input gradient per
+    batch slice or None)."""
     dpres = [np.empty(sw.acts.shape) for sw in group]
     for sw, dpre in zip(group, dpres):
         sw.bptt(g, dpre)
     kx = group[0].kx
 
     def input_grad(b):
-        dsum = functools.reduce(np.add, [d[:, b] for d in dpres])
-        return InputGrad(dsum.shape, kx)(dsum)
+        ds = [d[:, b] for d in dpres]
+        planes, lead = len(ds[0]), ds[0].shape[1:]
+        # planes per chunk: a lone direction needs no sum and lowers its
+        # slice at once; a pair sums and lowers one plane at a time
+        size = planes if len(ds) == 1 else 1
+        lower = InputGrad((size,) + lead, kx)
+        total = np.empty((size,) + lead) if len(ds) > 1 else None
+        gx = np.empty((planes,) + lead[:-1] + (kx.shape[2],)) if size < planes else None
+        for s in range(0, planes, size):
+            c = slice(s, s + size)
+            part = lower(ds[0][c] if total is None else np.add(ds[0][c], ds[1][c], out=total))
+            if gx is None:
+                return part
+            gx[c] = part
+        return gx
 
     return dpres, list(_map(input_grad, batches, parallel=True)) if need_x else None
 
@@ -399,10 +433,17 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
     inputs = (cuboid,) + tuple(t for d in directions for _, t in units[d].fields())
     keep = tape.recording and any(t.requires_grad for t in inputs)
     offsets = np.cumsum([0] + [units[d].hidden for d in directions])
+    # every direction's stored activations are slices of one block per node.
+    # Freed whole, a block this large raises glibc's trim threshold (twice
+    # the largest mapping freed), so the heap is not handed back to the
+    # system and faulted in again after every step
+    per_channel = 4 * math.prod(cuboid.data.shape[:-1])
+    block = np.empty(per_channel * offsets[-1]) if keep else None
     groups = {}  # (unit, scan axis) -> sweeps, in DIRECTIONS order
-    for d, off in zip(directions, offsets):
+    for d, off, end in zip(directions, offsets, offsets[1:]):
+        acts = None if block is None else block[per_channel * off:per_channel * end]
         groups.setdefault((id(units[d]), _SCAN[d][0]), []).append(
-            _Sweep(d, units[d], cuboid, off, keep)
+            _Sweep(d, units[d], cuboid, off, acts)
         )
     groups = list(groups.values())
     x = cuboid.data

@@ -82,6 +82,15 @@ class TestGenerate:
         with pytest.raises(TypeError):
             ShapeSceneParams(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("kinds", "square"), ("kinds", b"square"), ("sizes", 4), ("speeds", 1.0),
+    ])
+    def test_sequence_fields_refuse_a_bare_value(self, field, value):
+        # a string was split into characters, a number failed with a bare
+        # "'int' object is not iterable"
+        with pytest.raises(TypeError, match=f"{field} must be a sequence"):
+            ShapeSceneParams(**{field: value})
+
     def test_numpy_integer_fields_become_python_ints(self):
         params = ShapeSceneParams(n_sequences=np.int64(2), H=np.int32(8), W=np.int64(8),
                                   T=np.int64(3), sizes=(np.int64(3),), seed=np.uint64(5))

@@ -194,6 +194,15 @@ class TestAdam:
             np.testing.assert_array_equal(state.m[name], m)
             np.testing.assert_array_equal(state.v[name], v)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-3])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        # a NaN rate used to pass and make every parameter NaN at the first step
+        params = {"p": Tensor(np.ones(2), requires_grad=True)}
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            AdamState.for_parameters(params, lr=lr)
+        with pytest.raises(ValueError, match="lr must be finite and positive"):
+            AdamState(lr=lr)
+
     def test_non_finite_gradient_names_parameter(self):
         p = Tensor(np.array(1.0), requires_grad=True)
         p.grad = np.array(np.nan)

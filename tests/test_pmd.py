@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -339,6 +340,55 @@ class TestFusedLayer:
         monkeypatch.setattr(pmd, "PatchRows", spy)
         tape.backward(tape.sum(out))
         assert built and set(built) <= {(n, h, w), (n, t, w), (n, t, h)}
+
+    def test_input_grad_lowers_a_pair_one_plane_at_a_time(self, monkeypatch):
+        # a DWS layer's lone t- lowers its whole pre-activation gradient at
+        # once; each pair adds its two directions' gradients one plane at a
+        # time and lowers that plane, so no sum spans the layer. BPTT's
+        # state gradients are one plane without the leading plane axis
+        monkeypatch.setattr(pmd, "_THREADS", 1)
+        rng = np.random.default_rng(40)
+        units = POOL_LAYERS["dws"](rng)
+        n, t, h, w, _ = shape = (2, 3, 4, 5, 2)
+        x = Tensor(rng.uniform(size=shape), requires_grad=True)
+        tape = Tape()
+        out = pmd_layer(tape, units, x)
+        built = []
+        real = pmd.InputGrad
+
+        def spy(shape, kd):
+            built.append(tuple(shape[:-1]))
+            return real(shape, kd)
+
+        monkeypatch.setattr(pmd, "InputGrad", spy)
+        tape.backward(tape.sum(out))
+        state_grads = {(n, h, w), (n, t, w), (n, t, h)}
+        assert set(built) == state_grads | {(t, n, h, w), (1, n, t, w), (1, n, t, h)}
+
+    @pytest.mark.parametrize("layer", ["lone", "dws"])
+    def test_recorded_node_holds_only_states_and_gate_activations(self, monkeypatch, layer):
+        # the cells are rebuilt from the gate activations in the backward,
+        # so a recorded node keeps 4Ch values per position and direction
+        # beside its output. One direction's cells are 128 KiB here; the
+        # slack covers the node's Python objects, about 10 KiB under DWS
+        monkeypatch.setattr(pmd, "_THREADS", 1)
+        rng = np.random.default_rng(41)
+        ch = 8
+        units = (
+            {"t-": make_unit(3, 2, ch, rng, grad=True)} if layer == "lone"
+            else aliased_units(rng, 2, ch)
+        )
+        x = Tensor(rng.uniform(size=(2, 4, 16, 16, 2)), requires_grad=True)
+        positions = np.prod(x.shape[:-1])
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            out = pmd_layer(tape, units, x)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        acts = len(units) * positions * 4 * ch * 8
+        assert 0 <= held - (out.data.nbytes + acts) < 32 * 1024
 
     def test_pooled_forward_equals_calling_thread(self, monkeypatch):
         rng = np.random.default_rng(32)
