@@ -230,7 +230,7 @@ def load_dataset(path: str) -> Dataset:
     if version != DATASET_VERSION:
         raise FormatError(f"unsupported dataset version {version}")
     dims = tuple(reader.u32() for _ in range(5))
-    total = int(np.prod(np.asarray(dims, dtype=np.float64)))
+    total = math.prod(dims)
     if total > 2**40:
         raise DimOverflowError(f"dims {dims} imply an implausible payload")
     dtype = reader.u8()

@@ -7,6 +7,7 @@ per-pixel normalization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,5 +167,5 @@ def xavier_uniform(shape, fan_in: int, fan_out: int, rng: SplitMix64) -> np.ndar
     fan_out)), so the variance is 2 / (fan_in + fan_out). Values are drawn
     in row-major element order from the given stream."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    flat = rng.next_floats(int(np.prod(shape)))
+    flat = rng.next_floats(math.prod(shape))
     return ((2.0 * flat - 1.0) * bound).reshape(shape)

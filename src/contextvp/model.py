@@ -1,27 +1,26 @@
 """Model assembly: the five-direction stack, the time-only deep baseline,
 prediction entry points, parameter accounting and serialization.
 
-Layer wiring follows the four-layer reference architecture: each layer
-runs its directional scans over the incoming cuboid and blends them with
-a pointwise linear projection; where a skip pair (src, dst) is
-configured, the output cuboid of layer `dst` is concatenated with that of
-layer `src` along channels before feeding whatever consumes it (the next
-layer, or the output head after the last layer). The head takes the
-t = T slice of the final carry, projects it to the frame's channel count
-with a 1x1 `Tape.conv2d`, as the blend does, and applies a sigmoid, so
-predictions always land in (0, 1).
+Each layer runs its directional scans over the incoming cuboid and
+blends them with a pointwise linear projection. A skip pair (src, dst)
+concatenates layer `src`'s output cuboid onto layer `dst`'s along
+channels, for whatever consumes it: the next layer, or the head. The
+head projects the t = T slice of the final carry to the frame's
+channels with a 1x1 `Tape.conv2d`, as the blend does, and applies a
+sigmoid, so predictions always land in (0, 1).
 
 `param_shapes(spec)` is the parameter table, the one description of the
 parameters: every tensor's name and shape, in draw order, which is also
 file order. Layers come in ascending order; within a layer, each
 direction group of `direction_groups(spec)` in DIRECTIONS order with its
 `kx`, `ks` and `b`, then `blend.weight` and `blend.bias`; last
-`head.weight` and `head.bias`. Under directional weight sharing (DWS)
-h-/h+ form group h and w-/w+ group w; without it each direction is its
-own group; the time-only baseline has the one group t- and no blend.
-Blend and head weights are stored as the 1x1 kernels the forward
-convolves with, [1, 1, rows, N2] and [1, 1, Cin, C]. `build` draws the
-table's entries from a seed and `count_from_spec` sums its shapes.
+`head.weight` and `head.bias`. Opposite directions always share weights
+(directional weight sharing, DWS), so a ContextVP layer has the groups
+t-, h (h-/h+) and w (w-/w+); the time-only baseline has the one group
+t- and no blend. Blend and head weights are stored as the 1x1 kernels
+the forward convolves with, [1, 1, 5*N1, N2] and [1, 1, Cin, C].
+`build` draws the table's entries from a seed and `count_from_spec`
+sums its shapes.
 
 A model file is the spec plus the values: the magic b"CVPM", the u32
 MODEL_VERSION, the u64 length of the spec JSON, the spec JSON, then every
@@ -58,10 +57,9 @@ from contextvp.tensor import Tensor, Tape, ShapeError
 MODEL_MAGIC = b"CVPM"
 # bumped whenever the spec JSON keys, the parameter table or the file layout
 # change; only the current version is read
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 KINDS = ("contextvp", "convlstm_baseline")
-BLEND_MODES = ("uniform", "weighted")
 
 
 @dataclass
@@ -69,8 +67,6 @@ class ModelSpec:
     kind: str = "contextvp"
     layers: list = field(default_factory=lambda: [(8, 8), (16, 16), (16, 16), (8, 8)])
     kernel: int = 3
-    blend_mode: str = "weighted"
-    dws: bool = True
     skip_pairs: list | None = None
     in_channels: int = 1
 
@@ -87,8 +83,6 @@ class ModelSpec:
     def validate(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind {self.kind!r} not in {KINDS}")
-        if not isinstance(self.dws, bool):
-            raise TypeError(f"dws must be a bool, got {self.dws!r}")
         if not self.layers:
             raise ValueError("model needs at least one layer")
         if any(n1 < 1 or n2 < 1 for n1, n2 in self.layers):
@@ -98,8 +92,6 @@ class ModelSpec:
             raise ValueError(f"baseline layers need n1 == n2, got {self.layers}")
         if self.kernel % 2 == 0 or self.kernel < 1:
             raise ValueError(f"kernel size must be odd and >= 1, got {self.kernel}")
-        if self.blend_mode not in BLEND_MODES:
-            raise ValueError(f"blend_mode {self.blend_mode!r} not in {BLEND_MODES}")
         if self.in_channels < 1:
             raise ValueError("in_channels must be >= 1")
         n = len(self.layers)
@@ -115,26 +107,22 @@ class ModelSpec:
             "kind": self.kind,
             "layers": [list(p) for p in self.layers],
             "kernel": self.kernel,
-            "blend_mode": self.blend_mode,
-            "dws": self.dws,
             "skip_pairs": [list(p) for p in self.skip_pairs],
             "in_channels": self.in_channels,
         }
 
     @classmethod
     def convlstm_baseline(cls, width: int = 16, n_layers: int = 20, **kw):
-        return cls(kind="convlstm_baseline", layers=[(width, width)] * n_layers,
-                   dws=False, **kw)
+        return cls(kind="convlstm_baseline", layers=[(width, width)] * n_layers, **kw)
 
 
 def direction_groups(spec: ModelSpec) -> dict:
-    """Direction -> parameter group, in DIRECTIONS order. Under DWS the
-    opposite spatial directions share a group; the baseline scans t- only."""
+    """Direction -> parameter group, in DIRECTIONS order. A ContextVP layer
+    shares one group between opposite spatial directions (DWS); the
+    baseline scans t- only."""
     if spec.kind != "contextvp":
         return {"t-": "t-"}
-    if spec.dws:
-        return {"t-": "t-", "h-": "h", "h+": "h", "w-": "w", "w+": "w"}
-    return {d: d for d in DIRECTIONS}
+    return {"t-": "t-", "h-": "h", "h+": "h", "w-": "w", "w+": "w"}
 
 
 def param_shapes(spec: ModelSpec) -> dict:
@@ -155,8 +143,7 @@ def param_shapes(spec: ModelSpec) -> dict:
             shapes[f"layer{idx}.{group}.ks"] = (k, k, n1, len(GATES) * n1)
             shapes[f"layer{idx}.{group}.b"] = (len(GATES) * n1,)
         if spec.kind == "contextvp":
-            rows = n1 if spec.blend_mode == "uniform" else len(DIRECTIONS) * n1
-            shapes[f"layer{idx}.blend.weight"] = (1, 1, rows, n2)
+            shapes[f"layer{idx}.blend.weight"] = (1, 1, len(DIRECTIONS) * n1, n2)
             shapes[f"layer{idx}.blend.bias"] = (n2,)
         outs.append(n2 if spec.kind == "contextvp" else n1)
         cin = outs[-1] + sum(outs[src - 1] for src, dst in spec.skip_pairs if dst == idx)
@@ -196,9 +183,8 @@ class Model:
                 g: PMDUnit(*(parameters[f"{pre}{g}.{f}"] for f in ("kx", "ks", "b")))
                 for g in dict.fromkeys(groups.values())
             }
-            pair = None
-            if pre + "blend.weight" in parameters:
-                pair = (parameters[pre + "blend.weight"], parameters[pre + "blend.bias"])
+            pair = ((parameters[pre + "blend.weight"], parameters[pre + "blend.bias"])
+                    if spec.kind == "contextvp" else None)
             self.layers.append(Layer(units, {d: units[g] for d, g in groups.items()}, pair))
         self.head_weight = parameters["head.weight"]
         self.head_bias = parameters["head.bias"]
@@ -257,15 +243,13 @@ def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
     outs = []
     cur = x
     for idx, layer in enumerate(model.layers, start=1):
-        out = pmd_layer(tape, layer.units, cur)
+        cur = pmd_layer(tape, layer.units, cur)
         if layer.blend is not None:
-            out = blend(tape, out, *layer.blend)
-        outs.append(out)
-        carry = out
+            cur = blend(tape, cur, *layer.blend)
+        outs.append(cur)
         for src, dst in spec.skip_pairs:
             if dst == idx:
-                carry = tape.concat([carry, outs[src - 1]], axis=4)
-        cur = carry
+                cur = tape.concat([cur, outs[src - 1]], axis=4)
 
     last_plane = tape.index(cur, 1, t_len - 1)
     return tape.sigmoid(tape.conv2d(last_plane, model.head_weight, model.head_bias))
@@ -310,36 +294,35 @@ def count_from_spec(spec: ModelSpec) -> int:
     return sum(math.prod(shape) for shape in param_shapes(spec).values())
 
 
-def baseline_width_for(target_params: int, n_layers: int = 20, kernel: int = 3,
-                       in_channels: int = 1, max_width: int = 4096) -> int:
-    """Smallest-gap hidden width for a time-only stack whose parameter
-    count approximates `target_params`. The count is monotone in width,
-    so walk up until it crosses the target and keep the closer side."""
-    def count(width):
-        return count_from_spec(ModelSpec.convlstm_baseline(
-            width=width, n_layers=n_layers, kernel=kernel, in_channels=in_channels
-        ))
+def baseline_width_for(target_params: float, n_layers: int = 20, kernel: int = 3,
+                       in_channels: int = 1) -> int:
+    """Hidden width of a time-only stack whose parameter count is closest to
+    `target_params`, the upper width on a tie. The count grows with the
+    width: double it, then bisect for the first width that reaches the
+    target. A target that is not finite or is below 1 raises ValueError."""
+    if not 1 <= target_params < math.inf:  # false for NaN too
+        raise ValueError(f"target_params must be finite and >= 1, got {target_params!r}")
 
-    for width in range(1, max_width + 1):
-        if count(width) >= target_params:
-            if width == 1:
-                return 1
-            below, above = count(width - 1), count(width)
-            return width if above - target_params <= target_params - below else width - 1
-    return max_width
+    def gap(width):  # parameter count minus target
+        spec = ModelSpec.convlstm_baseline(width, n_layers, kernel=kernel, in_channels=in_channels)
+        return count_from_spec(spec) - target_params
+
+    lo, hi = 0, 1  # gap(lo) < 0 <= gap(hi); width 0 stands for no parameters
+    while gap(hi) < 0:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if gap(mid) >= 0 else (mid, hi)
+    return hi - 1 if hi > 1 and gap(hi) > -gap(hi - 1) else hi
 
 
 # -- serialization -------------------------------------------------------------
-
-def _spec_json(spec: ModelSpec) -> bytes:
-    return json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":")).encode()
-
 
 def model_bytes(model: Model) -> bytes:
     w = Writer()
     w.raw(MODEL_MAGIC)
     w.u32(MODEL_VERSION)
-    blob = _spec_json(model.spec)
+    blob = json.dumps(model.spec.to_dict(), sort_keys=True, separators=(",", ":")).encode()
     w.u64(len(blob))
     w.raw(blob)
     for t in model.parameters.values():

@@ -489,21 +489,16 @@ def pmd_scan(tape: Tape, unit: PMDUnit, cuboid: Tensor, direction: str) -> Tenso
 def blend(tape: Tape, states: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Project the directional states, concatenated in DIRECTIONS order
     ([..., 5*N1], as `pmd_layer` returns them), pointwise to [..., N2]:
-    a 1x1 convolution with the 1x1 kernel `weight` and bias [N2].
-
-    A weight with one row per state channel, [1, 1, 5*N1, N2], is used as
-    stored (weighted mode). One with N1 rows is tiled five times along its
-    input channels (uniform mode), which is the same as summing the five
-    directions and projecting with it. Any other shape raises ShapeError.
+    a 1x1 convolution with the 1x1 kernel `weight` [1, 1, 5*N1, N2], one
+    row per state channel, and bias [N2]. Any other weight shape raises
+    ShapeError.
     """
     if weight.data.ndim != 4 or weight.shape[:2] != (1, 1):
         raise ShapeError(f"blend weight must be a 1x1 kernel, got shape {weight.shape}")
     rows, channels = weight.shape[2], states.data.shape[-1]
-    if rows * len(DIRECTIONS) == channels:
-        weight = tape.concat([weight] * len(DIRECTIONS), axis=2)
-    elif rows != channels:
+    if rows != channels:
         raise ShapeError(
             f"blend weight has {rows} rows, states have {channels} channels: "
-            "weighted mode needs as many rows, uniform mode a fifth as many"
+            "it needs one row per state channel"
         )
     return tape.conv2d(states, weight, bias)

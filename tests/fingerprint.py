@@ -8,11 +8,11 @@ Run from the repository root:
 Each digest covers, in order, both steps' losses and every parameter
 gradient (in `param_shapes` order) of 2 Adam steps on a batch of N
 windows of 16x16 bouncing shapes (T=10), then `predict_recursive(p=2)`
-from the first window. The configurations are four specs (the default,
-the parameter-matched 20-layer baseline, uniform blending without DWS,
-and kernel 5), each at N in {1, 4} and `pmd._THREADS` in {1, 2}. Two
-trees that print the same lines computed the same bits; a line that
-differs only between thread counts is a determinism fault.
+from the first window. The configurations are three specs (the default,
+the parameter-matched 20-layer baseline, and kernel 5), each at N in
+{1, 4} and `pmd._THREADS` in {1, 2}: 12 lines. Two trees that print the
+same lines computed the same bits; a line that differs only between
+thread counts is a determinism fault.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from contextvp.tensor import Tape, Tensor
 SPECS = {
     "default": lambda: model.ModelSpec(),
     "baseline-w10": lambda: model.ModelSpec.convlstm_baseline(width=10),
-    "uniform-nodws": lambda: model.ModelSpec(layers=[(3, 3), (2, 2)], blend_mode="uniform",
-                                             dws=False),
     "kernel5": lambda: model.ModelSpec(layers=[(3, 3), (2, 2)], kernel=5),
 }
 BATCHES = (1, 4)

@@ -7,7 +7,10 @@ standalone ConvLSTM recurrence. The one exception is the tape-composed
 LSTM step (`pmd_step`, `composed_scan`): it chains the package's generic
 tape ops (conv2d, slice, sigmoid, tanh, mul, add), so the fused scan node
 can be checked against the same float operations bit for bit, and its
-hand-written backward against the tape's per-op gradients.
+hand-written backward against the tape's per-op gradients. The
+tape-composed model (`composed_model`) stacks those scans with its own
+recorded per-pixel projection for the blend and the head, so the model's
+wiring is checked against its definition, gradients included.
 """
 
 import numpy as np
@@ -95,8 +98,9 @@ def scalar_lstm_step(x, c_prev, s_prev, wx, ws, b):
     return c, s
 
 
-def pixel_blend(s_list, weight, bias, weighted):
-    """Per-pixel matmul evaluation of a blending block.
+def pixel_blend(s_list, weight, bias):
+    """Per-pixel matmul evaluation of a blending block: each position's
+    five state vectors, concatenated, times weight [5*N1, N2], plus bias.
 
     s_list: five [T, H, W, N1] arrays in fixed direction order.
     """
@@ -106,10 +110,7 @@ def pixel_blend(s_list, weight, bias, weighted):
     for t in range(t_len):
         for i in range(h):
             for j in range(w):
-                if weighted:
-                    vec = np.concatenate([s[t, i, j] for s in s_list])
-                else:
-                    vec = np.sum([s[t, i, j] for s in s_list], axis=0)
+                vec = np.concatenate([s[t, i, j] for s in s_list])
                 out[t, i, j] = vec @ weight + bias
     return out
 
@@ -287,3 +288,54 @@ def composed_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
     order = [d for d in ("t-", "h-", "h+", "w-", "w+") if d in units]
     scans = [composed_scan(tape, units[d], cuboid, d) for d in order]
     return scans[0] if len(scans) == 1 else tape.concat(scans, axis=cuboid.data.ndim - 1)
+
+
+# -- tape-composed model -----------------------------------------------------
+
+def pixel_projection(tape: Tape, x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """`pixel_blend`'s per-pixel semantics as one recorded node: each
+    position's vector x[..., Cin] times the 1x1 kernel weight [1, 1, Cin,
+    Cout], plus bias [Cout], with gradients for all three inputs."""
+    xd, w = x.data, weight.data[0, 0]
+
+    def backward(g):
+        return (
+            np.einsum("...o,co->...c", g, w),
+            np.einsum("pc,po->co", xd.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1]))
+            .reshape(weight.data.shape),
+            g.reshape(-1, g.shape[-1]).sum(axis=0),
+        )
+
+    out = np.einsum("...c,co->...o", xd, w) + bias.data
+    return tape.record("pixel_projection", (x, weight, bias), out, backward)
+
+
+def composed_model(tape: Tape, spec, params: dict, x: Tensor) -> Tensor:
+    """The prediction [N, H, W, C] for x [N, T, H, W, C], composed from the
+    model's definition. Layer i scans every direction of its kind with the
+    units named `layer{i}.{group}.{kx, ks, b}` in `params`: a ContextVP
+    layer all five, opposite directions sharing the group h or w, then
+    blends the concatenated states with `layer{i}.blend.*`; a baseline
+    layer scans t- alone. After layer i, each skip pair (src, i), in
+    `spec.skip_pairs` order, appends layer src's output on channels. The
+    head projects the last frame of the final carry with `head.*` and
+    takes its sigmoid."""
+    contextvp = spec.kind == "contextvp"
+    directions = ("t-", "h-", "h+", "w-", "w+") if contextvp else ("t-",)
+    outs = []
+    cur = x
+    for i in range(1, len(spec.layers) + 1):
+        units = {}
+        for d in directions:
+            group = d if d == "t-" else d[0]
+            units[d] = PMDUnit(*(params[f"layer{i}.{group}.{f}"] for f in ("kx", "ks", "b")))
+        cur = composed_layer(tape, units, cur)
+        if contextvp:
+            cur = pixel_projection(tape, cur, params[f"layer{i}.blend.weight"],
+                                   params[f"layer{i}.blend.bias"])
+        outs.append(cur)
+        for src, dst in spec.skip_pairs:
+            if dst == i:
+                cur = tape.concat([cur, outs[src - 1]], axis=4)
+    last = tape.index(cur, 1, x.data.shape[1] - 1)
+    return tape.sigmoid(pixel_projection(tape, last, params["head.weight"], params["head.bias"]))

@@ -17,7 +17,7 @@ from contextvp.loss_optim import (
 )
 from contextvp.prng import SplitMix64
 from contextvp.tensor import Tensor, Tape, ShapeError
-from contextvp.pmd import DIRECTIONS, GATES
+from contextvp.pmd import DIRECTIONS, GATES, blend
 from contextvp.model import (
     MODEL_MAGIC,
     MODEL_VERSION,
@@ -35,13 +35,11 @@ from contextvp.model import (
     save_model,
 )
 from gradcheck import finite_diff_check
-from oracles import pmd_step
+from oracles import composed_model, pmd_step
 
 
 def tiny_spec(**kw):
     kw.setdefault("layers", [(2, 2)])
-    kw.setdefault("blend_mode", "uniform")
-    kw.setdefault("dws", False)
     return ModelSpec(**kw)
 
 
@@ -62,12 +60,13 @@ class TestBuild:
             b.parameters["layer1.t-.kx"].data.tobytes()
 
     def test_group_counts_follow_sharing_flag(self):
-        tied = build(ModelSpec(layers=[(2, 2)], dws=True), 0)
-        untied = build(ModelSpec(layers=[(2, 2)], dws=False), 0)
+        # opposite directions always share a group; the baseline has one
+        tied = build(ModelSpec(layers=[(2, 2)]), 0)
+        baseline = build(ModelSpec.convlstm_baseline(width=2, n_layers=1), 0)
         tied_groups = {n.split(".")[1] for n in tied.parameters if n.startswith("layer1.")}
-        untied_groups = {n.split(".")[1] for n in untied.parameters if n.startswith("layer1.")}
+        baseline_groups = {n.split(".")[1] for n in baseline.parameters if n.startswith("layer1.")}
         assert tied_groups == {"t-", "h", "w", "blend"}
-        assert untied_groups == {"t-", "h-", "h+", "w-", "w+", "blend"}
+        assert baseline_groups == {"t-"}
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -76,8 +75,9 @@ class TestBuild:
             ModelSpec(layers=[(2, 2)], kernel=4)
         with pytest.raises(ValueError):
             ModelSpec(layers=[(2, 2)], skip_pairs=[(1, 1)])
-        with pytest.raises(TypeError):
-            ModelSpec(layers=[(2, 2)], dws="no")
+        for removed in ("dws", "blend_mode"):  # DWS and the weighted blend are always on
+            with pytest.raises(TypeError, match=removed):
+                ModelSpec(layers=[(2, 2)], **{removed: None})
         with pytest.raises(TypeError):
             ModelSpec(layers=[(8.7, 8)])
         with pytest.raises(TypeError):
@@ -117,7 +117,7 @@ class TestForward:
     def test_single_position_matches_manual_composition(self):
         # with a 1x1x1 cuboid every directional scan is one recurrence step,
         # so the whole model reduces to hand-composable algebra
-        spec = tiny_spec(layers=[(3, 3)], blend_mode="weighted", in_channels=2)
+        spec = tiny_spec(layers=[(3, 3)], in_channels=2)
         model = build(spec, 7)
         frames = np.random.default_rng(1).uniform(size=(1, 1, 1, 2))
         got = forward_predict(model, frames)
@@ -151,7 +151,7 @@ class TestForward:
         # the five-direction model covers the whole frame by design, so no
         # pixel is beyond its receptive radius; border effects must still
         # be strongly attenuated in the interior
-        full = build(ModelSpec(layers=[(3, 3)], blend_mode="weighted"), 5)
+        full = build(ModelSpec(layers=[(3, 3)]), 5)
         out = forward_predict(full, frames)
         out_shifted = forward_predict(full, shifted)
         assert np.max(np.abs(out_shifted[4:10, 4:10] - out[2:8, 2:8])) < 1e-4
@@ -223,8 +223,7 @@ class TestForward:
             )
 
     def test_gradients_match_finite_differences(self):
-        spec = ModelSpec(layers=[(2, 2)], blend_mode="weighted", dws=True)
-        model = build(spec, 11)
+        model = build(ModelSpec(layers=[(2, 2)]), 11)
         rng = np.random.default_rng(4)
         frames = rng.uniform(size=(1, 2, 4, 4, 1))
         target = rng.uniform(0.1, 0.9, size=(1, 4, 4, 1))
@@ -240,22 +239,71 @@ class TestForward:
         assert max_rel < 1e-4
 
     def test_dws_matches_untied_with_copied_parameters(self):
-        tied_spec = ModelSpec(layers=[(2, 2), (2, 2)], dws=True)
-        untied_spec = ModelSpec(layers=[(2, 2), (2, 2)], dws=False)
-        tied = build(tied_spec, 13)
-        untied = build(untied_spec, 13)
-        tied_params = tied.parameters
-        for name, t in untied.parameters.items():
-            part = name.split(".")
-            if len(part) == 3 and part[1] in ("h-", "h+", "w-", "w+"):
-                source = f"{part[0]}.{part[1][0]}.{part[2]}"
-            else:
-                source = name
-            t.data[...] = tied_params[source].data
-        frames = np.random.default_rng(5).uniform(size=(2, 5, 5, 1))
-        np.testing.assert_array_equal(
-            forward_predict(tied, frames), forward_predict(untied, frames)
-        )
+        # each layer of a built model, its h and w units aliased as the
+        # model holds them, against five separate units holding copies
+        model = build(ModelSpec(layers=[(2, 2), (2, 2)]), 13)
+        cur = Tensor(np.random.default_rng(5).uniform(size=(1, 2, 5, 5, 1)))
+        for layer in model.layers:
+            untied = {
+                d: pmd.PMDUnit(*(Tensor(t.data.copy()) for _, t in u.fields()))
+                for d, u in layer.units.items()
+            }
+            tied_out = blend(Tape(), pmd.pmd_layer(Tape(), layer.units, cur), *layer.blend)
+            untied_out = blend(Tape(), pmd.pmd_layer(Tape(), untied, cur), *layer.blend)
+            np.testing.assert_array_equal(tied_out.data, untied_out.data)
+            cur = tied_out
+
+
+@st.composite
+def small_specs(draw):
+    """Any kind; 1-4 layers of widths 1-3 (n1 == n2 for the baseline);
+    kernel 1, 3 or 5; any valid skip pairs, in any order."""
+    kind = draw(st.sampled_from(["contextvp", "convlstm_baseline"]))
+    n = draw(st.integers(1, 4))
+    widths = st.integers(1, 3)
+    if kind == "contextvp":
+        layers = draw(st.lists(st.tuples(widths, widths), min_size=n, max_size=n))
+    else:
+        layers = [(w, w) for w in draw(st.lists(widths, min_size=n, max_size=n))]
+    pairs = [(src, dst) for dst in range(2, n + 1) for src in range(1, dst)]
+    skips = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)) if pairs else []
+    return ModelSpec(kind=kind, layers=layers, kernel=draw(st.sampled_from([1, 3, 5])),
+                     skip_pairs=skips)
+
+
+class TestComposedModel:
+    """The whole model against `oracles.composed_model`, which composes the
+    model's definition from per-direction scans, a per-pixel blend, the
+    skip concats and the head: prediction and every gradient."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=small_specs(), n=st.integers(1, 2), t=st.integers(1, 3),
+           h=st.integers(1, 5), w=st.integers(1, 5), seed=st.integers(0, 2**16))
+    def test_matches_composed_oracle(self, spec, n, t, h, w, seed):
+        model = build(spec, seed)
+        rng = np.random.default_rng(seed)
+        for name, p in model.parameters.items():
+            if name.endswith((".b", ".bias")):  # built at zero
+                p.data[...] = rng.uniform(-0.5, 0.5, size=p.shape)
+        x = Tensor(rng.uniform(size=(n, t, h, w, 1)), requires_grad=True)
+        weights = Tensor(rng.uniform(-1, 1, size=(n, h, w, 1)))
+        tensors = [x, *model.parameters.values()]
+
+        def run(forward):
+            for p in tensors:
+                p.grad = None
+            tape = Tape()
+            pred = forward(tape)
+            tape.backward(tape.sum(tape.mul(pred, weights)))
+            return [pred.data] + [np.zeros(p.shape) if p.grad is None else p.grad
+                                  for p in tensors]
+
+        got = run(lambda tape: forward_cuboid(tape, model, x))
+        want = run(lambda tape: composed_model(tape, spec, model.parameters, x))
+        names = ["prediction", "input"] + list(model.parameters)
+        for name, a, b in zip(names, got, want):
+            scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale, name
 
 
 class TestTraining:
@@ -368,8 +416,7 @@ class TestCounting:
 
     def test_count_matches_spec_formula(self):
         for spec in (
-            ModelSpec(layers=[(4, 6), (3, 5)], blend_mode="weighted", dws=True),
-            ModelSpec(layers=[(4, 6), (3, 5)], blend_mode="uniform", dws=False),
+            ModelSpec(layers=[(4, 6), (3, 5)]),
             ModelSpec.convlstm_baseline(width=3, n_layers=5),
             ModelSpec(layers=[(2, 2)] * 4, in_channels=3),
         ):
@@ -378,26 +425,23 @@ class TestCounting:
                 list(param_shapes(spec).items())
 
     def test_sharing_accounting(self):
-        untied_spec = ModelSpec(layers=[(3, 3), (4, 4)], dws=False)
-        tied_spec = ModelSpec(layers=[(3, 3), (4, 4)], dws=True)
-        untied = build(untied_spec, 0)
-        removed = sum(
-            t.data.size
-            for name, t in untied.parameters.items()
-            if name.split(".")[1] in ("h+", "w+")
-        )
-        assert count_from_spec(tied_spec) == count_from_spec(untied_spec) - removed
-
-    def test_weighted_blend_extra_scalars(self):
-        uniform = ModelSpec(layers=[(4, 6)], blend_mode="uniform", dws=False)
-        weighted = ModelSpec(layers=[(4, 6)], blend_mode="weighted", dws=False)
-        delta = count_from_spec(weighted) - count_from_spec(uniform)
-        assert delta == (5 * 4) * 6 - 4 * 6
+        # three scan groups per layer, not five: a group is 4 gates of a
+        # k*k*(Cin + n1) -> n1 kernel pair plus n1 biases; a blend is
+        # 5*n1 -> n2 plus n2 biases; the head 4 -> 1 plus 1
+        spec = ModelSpec(layers=[(3, 3), (4, 4)])
+        groups = 3 * 4 * (9 * (1 + 3) * 3 + 3) + 3 * 4 * (9 * (3 + 4) * 4 + 4)
+        blends = (15 * 3 + 3) + (20 * 4 + 4)
+        assert count_from_spec(spec) == groups + blends + (4 + 1)
 
     def test_small_half_of_big(self):
         big = ModelSpec(layers=[(8, 8), (16, 16), (16, 16), (8, 8)])
         small = ModelSpec(layers=[(4, 4), (8, 8), (8, 8), (4, 4)])
         assert count_from_spec(small) < count_from_spec(big)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0], ids=["nan", "inf", "0"])
+    def test_baseline_width_target_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            baseline_width_for(bad)
 
     def test_baseline_width_search(self):
         target = count_from_spec(ModelSpec(layers=[(4, 4), (4, 4)]))
@@ -408,6 +452,9 @@ class TestCounting:
         }
         best = min(counts, key=lambda w: abs(counts[w] - target))
         assert abs(counts[width] - target) == abs(counts[best] - target)
+        # the benchmark's baseline, matched to the default spec
+        assert baseline_width_for(count_from_spec(ModelSpec())) == 10
+        assert count_from_spec(ModelSpec.convlstm_baseline(width=10)) == 148_771
 
 
 class TestSerialization:
@@ -419,7 +466,7 @@ class TestSerialization:
         assert model_bytes(loaded) == path.read_bytes()
 
     def test_loaded_model_predicts_identically(self, tmp_path):
-        model = build(ModelSpec(layers=[(3, 3)], blend_mode="weighted"), 22)
+        model = build(ModelSpec(layers=[(3, 3)]), 22)
         path = tmp_path / "model.cvpm"
         save_model(model, str(path))
         loaded = load_model(str(path))
@@ -443,17 +490,23 @@ class TestSerialization:
             load_model(str(path))
 
     def test_shared_tensors_stored_once(self, tmp_path):
-        tied = ModelSpec(layers=[(3, 3)], dws=True)
-        untied = ModelSpec(layers=[(3, 3)], dws=False)
-        assert len(model_bytes(build(tied, 0))) < len(model_bytes(build(untied, 0)))
+        # the file holds each distinct tensor once: h+ and w+ add nothing
+        model = build(ModelSpec(layers=[(3, 3)]), 0)
+        layer = model.layers[0]
+        distinct = {id(t): t for u in layer.units.values() for _, t in u.fields()}
+        others = [*layer.blend, model.head_weight, model.head_bias]
+        n_values = sum(t.data.size for t in [*distinct.values(), *others])
+        blob = model_bytes(model)
+        spec_length = int.from_bytes(blob[8:16], "little")
+        assert len(blob) == 16 + spec_length + 8 * n_values
 
     @pytest.mark.parametrize("spec, values_digest, file_digest", [
         (ModelSpec(),
          "87db221765201275f92f1f4ec2a12111d3d8ae132bbdce8d8af10ed638058169",
-         "397e06b6d4526bb7b8b136bf63e26c74b706f9221959e6efaac4c03a119cb6a1"),
+         "047021e220fa989cb97ce120b3a0b73dc416d0188e451ea9edce4237bbee2f04"),
         (ModelSpec.convlstm_baseline(width=10),
          "51f88f7504db0a0ec5c1451c00ebfb0412e3c292c4e2f4d3d2b9561b2ff30f70",
-         "22dec03f1b17f8385ece9d2776ff0822018efd406445d19de68680d6c92206cf"),
+         "0076596da6a5c330057adbf6e9ee164bea3a37ad117fdea7567ac7117bb6173a"),
     ], ids=["default", "baseline-width-10"])
     def test_parameter_bytes_pinned(self, spec, values_digest, file_digest):
         # the values digest pins the draw alone; the file digest also pins
@@ -502,7 +555,7 @@ class TestSerialization:
         assert model_bytes(loaded) == model_bytes(model)
         assert model_bytes(loaded) != path.read_bytes()
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_old_version_file_rejected(self, tmp_path, version):
         blob = bytearray(model_bytes(build(tiny_spec(), 0)))
         blob[4:8] = version.to_bytes(4, "little")
@@ -548,9 +601,12 @@ class TestMalformedModelFiles:
         tiny_spec_json(dws="no"),
         tiny_spec_json(layers=[[2.5, 2]]),
         tiny_spec_json(kind="convlstm_baseline", layers=[[2, 3]]),
+        # keys of version 4, whose settings are gone
+        tiny_spec_json(dws=True),
+        tiny_spec_json(blend_mode="weighted"),
     ], ids=["corrupt-json", "not-utf8", "not-an-object", "unknown-key", "even-kernel",
             "float-kernel", "text-width", "nested-past-recursion-limit", "dws-string",
-            "float-width", "baseline-n1-n2"])
+            "float-width", "baseline-n1-n2", "dws-key", "blend-mode-key"])
     def test_bad_spec(self, tmp_path, spec_json):
         with pytest.raises(serial.FormatError, match="invalid model spec"):
             load_cvpm(tmp_path, spec_json)

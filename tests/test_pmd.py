@@ -9,7 +9,7 @@ import pytest
 
 import contextvp.pmd as pmd
 import contextvp.tensor as tensor
-from contextvp.model import ModelSpec, build, forward_cuboid
+from contextvp.model import ModelSpec, build
 from contextvp.tensor import Tensor, Tape, ShapeError
 from contextvp.pmd import (
     DIRECTIONS,
@@ -523,48 +523,26 @@ def concat_states(s_list):
 
 
 class TestBlending:
-    def test_uniform_identity_weights(self):
-        rng = np.random.default_rng(11)
-        s = Tensor(rng.uniform(size=(2, 3, 3, 4)))
-        out = blend(Tape(), concat_states([s] * 5), Tensor(np.eye(4)[None, None]),
-                    Tensor(np.zeros(4)))
-        np.testing.assert_allclose(out.data, 5 * s.data, atol=1e-12)
-
-    def test_uniform_single_active_direction(self):
-        rng = np.random.default_rng(12)
-        v = Tensor(rng.uniform(size=(2, 3, 3, 4)))
-        zeros = [Tensor(np.zeros((2, 3, 3, 4))) for _ in range(4)]
-        out = blend(Tape(), concat_states([v] + zeros), Tensor(np.eye(4)[None, None]),
-                    Tensor(np.zeros(4)))
-        np.testing.assert_allclose(out.data, v.data, atol=1e-15)
-
-    def test_uniform_matches_pixel_oracle(self):
-        rng = np.random.default_rng(13)
-        s_list = make_states(rng)
-        w = rng.uniform(-1, 1, size=(4, 3))
-        b = rng.uniform(-1, 1, size=3)
-        out = blend(Tape(), concat_states(s_list), Tensor(w[None, None]), Tensor(b))
-        ref = pixel_blend([s.data for s in s_list], w, b, weighted=False)
-        np.testing.assert_allclose(out.data, ref, atol=1e-12)
-
     def test_weighted_matches_pixel_oracle(self):
         rng = np.random.default_rng(14)
         s_list = make_states(rng)
         w = rng.uniform(-1, 1, size=(20, 3))
         b = rng.uniform(-1, 1, size=3)
         out = blend(Tape(), concat_states(s_list), Tensor(w[None, None]), Tensor(b))
-        ref = pixel_blend([s.data for s in s_list], w, b, weighted=True)
+        ref = pixel_blend([s.data for s in s_list], w, b)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
     def test_weighted_with_replicated_blocks_reproduces_uniform(self):
+        # one block repeated for all five directions projects the sum of
+        # the directional states, which is what uniform blending meant
         rng = np.random.default_rng(15)
         s_list = make_states(rng)
         v = rng.uniform(-1, 1, size=(4, 3))
         b = rng.uniform(-1, 1, size=3)
-        states = concat_states(s_list)
-        uniform = blend(Tape(), states, Tensor(v[None, None]), Tensor(b))
-        weighted = blend(Tape(), states, Tensor(np.vstack([v] * 5)[None, None]), Tensor(b))
-        np.testing.assert_allclose(weighted.data, uniform.data, atol=1e-12)
+        uniform = sum(s.data for s in s_list) @ v + b
+        weighted = blend(Tape(), concat_states(s_list), Tensor(np.vstack([v] * 5)[None, None]),
+                         Tensor(b))
+        np.testing.assert_allclose(weighted.data, uniform, atol=1e-12)
 
     def test_weighted_block_sparsity_ignores_spatial(self):
         rng = np.random.default_rng(16)
@@ -578,11 +556,11 @@ class TestBlending:
         np.testing.assert_allclose(out_full.data, out_zeroed.data, atol=1e-15)
 
     def test_mode_mismatch_rejected(self):
-        # the 20 state channels take a weight of 20 rows (weighted) or
-        # 4 rows (uniform); any other row count raises, 5 * 20 = 100 too
+        # the 20 state channels take a weight of 20 rows; any other row
+        # count raises: 4, a fifth as many, and 5 * 20 = 100 too
         rng = np.random.default_rng(17)
         states = concat_states(make_states(rng))
-        for rows in (1, 5, 8, 19, 21, 100):
+        for rows in (1, 4, 5, 8, 19, 21, 100):
             with pytest.raises(ShapeError, match=f"{rows} rows, states have 20 channels"):
                 blend(Tape(), states, Tensor(np.zeros((1, 1, rows, 4))), Tensor(np.zeros(4)))
 
@@ -595,33 +573,20 @@ class TestBlending:
     def test_bias_must_match_weight_columns(self):
         states = concat_states(make_states(np.random.default_rng(19)))
         with pytest.raises(ShapeError, match="bias shape"):
-            blend(Tape(), states, Tensor(np.zeros((1, 1, 4, 3))), Tensor(np.zeros(4)))
-
-    def test_output_shape_both_modes(self):
-        rng = np.random.default_rng(18)
-        states = concat_states(make_states(rng))
-        u = blend(Tape(), states, Tensor(rng.uniform(size=(1, 1, 4, 6))), Tensor(np.zeros(6)))
-        w = blend(Tape(), states, Tensor(rng.uniform(size=(1, 1, 20, 6))), Tensor(np.zeros(6)))
-        assert u.data.shape == (2, 3, 3, 6)
-        assert w.data.shape == (2, 3, 3, 6)
+            blend(Tape(), states, Tensor(np.zeros((1, 1, 20, 3))), Tensor(np.zeros(4)))
 
 
 def layer_forward(tape, units, cuboid, weight, bias):
     return blend(tape, pmd_layer(tape, units, cuboid), weight, bias)
 
 
-def untied_copy_of(tied):
-    """A dws=False build of the tied model's spec whose h-/h+ and w-/w+
-    groups both hold copies of the tied h and w tensors."""
-    spec = ModelSpec(**{**tied.spec.to_dict(), "dws": False})
-    untied = build(spec, 0)
-    tied_params = tied.parameters
-    for name, t in untied.parameters.items():
-        layer, group, field = (name.split(".") + [""])[:3]
-        if group in ("h-", "h+", "w-", "w+"):
-            name = f"{layer}.{group[0]}.{field}"
-        t.data[...] = tied_params[name].data
-    return untied
+def untied_copy_of(units):
+    """One unit per direction, each holding copies of the tensors of the
+    unit that direction uses in `units`."""
+    return {
+        d: PMDUnit(*(Tensor(t.data.copy(), requires_grad=True) for _, t in u.fields()))
+        for d, u in units.items()
+    }
 
 
 class TestDirectionalWeightSharing:
@@ -632,7 +597,7 @@ class TestDirectionalWeightSharing:
         return {d: make_unit(3, 1, 2, rng, grad=grad) for d in DIRECTIONS}
 
     def test_three_unique_parameter_sets(self):
-        layer = build(ModelSpec(layers=[(2, 2)], dws=True), 19).layers[0]
+        layer = build(ModelSpec(layers=[(2, 2)]), 19).layers[0]
         units = layer.units
         assert units["h+"] is units["h-"] and units["w+"] is units["w-"]
         unique = {id(t) for u in units.values() for _, t in u.fields()}
@@ -653,23 +618,18 @@ class TestDirectionalWeightSharing:
 
     def test_tied_gradient_is_sum_of_untied(self):
         rng = np.random.default_rng(21)
-        tied = build(ModelSpec(layers=[(2, 2)], dws=True), 21)
+        tied = aliased_units(rng, 1, 2)
         untied = untied_copy_of(tied)
-        frames = Tensor(rng.uniform(size=(2, 2, 4, 4, 1)))
-
-        def backward(model):
-            tape = Tape()
-            out = forward_cuboid(tape, model, frames)
-            tape.backward(tape.sum(tape.mul(out, out)))
-            return out.data
-
-        np.testing.assert_allclose(backward(tied), backward(untied), atol=1e-12)
-        grads = {name: t.grad for name, t in untied.parameters.items()}
-        for name, t in tied.parameters.items():
-            layer, group, field = (name.split(".") + [""])[:3]
-            if group in ("h", "w"):
-                want = grads[f"{layer}.{group}-.{field}"] + grads[f"{layer}.{group}+.{field}"]
-                np.testing.assert_allclose(t.grad, want, atol=1e-10)
+        frames = Tensor(rng.uniform(size=(2, 2, 4, 4, 1)), requires_grad=True)
+        weights = rng.uniform(-1, 1, size=(2, 2, 4, 4, 10))
+        tied_out, tied_grads = run_with_grads(pmd_layer, tied, frames, weights)
+        untied_out, untied_grads = run_with_grads(pmd_layer, untied, frames, weights)
+        np.testing.assert_allclose(tied_out, untied_out, atol=1e-12)
+        np.testing.assert_allclose(tied_grads[0], untied_grads[0], atol=1e-12)
+        for src, dst in (("h-", "h+"), ("w-", "w+")):
+            shared, a, b = (u.fields() for u in (tied[src], untied[src], untied[dst]))
+            for (_, t), (_, ta), (_, tb) in zip(shared, a, b):
+                np.testing.assert_allclose(t.grad, ta.grad + tb.grad, atol=1e-10)
 
     def test_tie_is_noop_when_already_identical(self):
         # aliasing opposite directions to one unit changes no value when
@@ -680,7 +640,7 @@ class TestDirectionalWeightSharing:
             for (_, a), (_, b) in zip(units[src].fields(), units[dst].fields()):
                 b.data[...] = a.data
         frames = Tensor(rng.uniform(size=(1, 2, 4, 4, 1)))
-        pair = (Tensor(np.eye(2)[None, None]), Tensor(np.zeros(2)))
+        pair = (Tensor(np.vstack([np.eye(2)] * 5)[None, None]), Tensor(np.zeros(2)))
         tied = {**units, "h+": units["h-"], "w+": units["w-"]}
         before = layer_forward(Tape(), units, frames, *pair).data
         after = layer_forward(Tape(), tied, frames, *pair).data
