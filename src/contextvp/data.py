@@ -1,5 +1,5 @@
-"""Deterministic synthetic video: shapes bouncing in a frame, plus a
-portable binary dataset format and sliding-window pairing.
+"""Deterministic synthetic video: shapes bouncing in a frame, and
+sliding-window pairing of the frames into (input, target) examples.
 
 Motion model: each shape carries a float position and per-axis velocity.
 Every frame the position advances by the velocity; when it would leave the
@@ -25,17 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from contextvp.prng import SplitMix64
-from contextvp.serial import (
-    DimOverflowError,
-    FormatError,
-    Reader,
-    Writer,
-    atomic_write,
-)
-
-DATASET_MAGIC = b"CVPD"
-DATASET_VERSION = 1
-DTYPE_F32 = 1
 
 SHAPE_KINDS = ("square", "disc")
 
@@ -99,26 +88,6 @@ class MovingShape:
     vx: float
 
 
-@dataclass
-class Dataset:
-    """Frames [N, T, H, W, C] with values in [0, 1], what a CVPD file
-    holds. Any other rank, or a value that is not finite or outside
-    [0, 1], raises ValueError, so `save_dataset` cannot write a file that
-    `load_dataset` refuses."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        if self.data.ndim != 5:
-            raise ValueError(f"frames must be [N, T, H, W, C], got rank {self.data.ndim}")
-        if not np.all((self.data >= 0.0) & (self.data <= 1.0)):  # false for NaN too
-            raise ValueError("frame values must be finite and in [0, 1]")
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-
 def bounce_track(start: float, velocity: float, limit: float, steps: int):
     """Positions of a clamp-and-flip bouncer, starting at `start`.
 
@@ -172,7 +141,8 @@ def _draw_shape(rng: SplitMix64, params: ShapeSceneParams) -> MovingShape:
     return MovingShape(kind, size, y, x, vy, vx)
 
 
-def generate_bouncing_shapes(params: ShapeSceneParams) -> Dataset:
+def generate_bouncing_shapes(params: ShapeSceneParams) -> np.ndarray:
+    """Frames [N, T, H, W, C] of 0/1 intensities, N = params.n_sequences."""
     master = SplitMix64(params.seed)
     child_seeds = [master.next_u64() for _ in range(params.n_sequences)]
     data = np.zeros((params.n_sequences, params.T, params.H, params.W, params.C))
@@ -180,66 +150,24 @@ def generate_bouncing_shapes(params: ShapeSceneParams) -> Dataset:
         rng = SplitMix64(child)
         shapes = [_draw_shape(rng, params) for _ in range(params.n_shapes)]
         data[n] = render_sequence(shapes, params.H, params.W, params.T, params.C)
-    return Dataset(data)
+    return data
 
 
-def window(dataset: Dataset, input_len: int):
-    """All maximal sliding (input cuboid, target frame) pairs.
+def window(frames: np.ndarray, input_len: int):
+    """All maximal sliding (input cuboid, target frame) pairs of frames
+    [N, T, H, W, C].
 
     Each sequence of length T yields T - input_len pairs; pair k of a
     sequence inputs frames [k, k + input_len) and targets frame
     k + input_len.
     """
-    t_len = dataset.data.shape[1]
+    t_len = frames.shape[1]
     if not 0 < input_len < t_len:
         raise ValueError(
             f"input_len must be in (0, {t_len}) for sequences of length {t_len}"
         )
     pairs = []
-    for seq in dataset.data:
+    for seq in frames:
         for k in range(t_len - input_len):
             pairs.append((seq[k:k + input_len], seq[k + input_len]))
     return pairs
-
-
-def dataset_bytes(dataset: Dataset) -> bytes:
-    """Frames are stored as little-endian f32 (down-converted from the
-    in-memory f64); loading up-converts, so a load/save cycle is
-    byte-stable even though save is lossy at the f32 level."""
-    n, t, h, w, c = dataset.data.shape
-    out = Writer()
-    out.raw(DATASET_MAGIC)
-    out.u32(DATASET_VERSION)
-    for dim in (n, t, h, w, c):
-        out.u32(dim)
-    out.u8(DTYPE_F32)
-    out.raw(dataset.data.astype("<f4").tobytes())
-    return out.getvalue()
-
-
-def save_dataset(dataset: Dataset, path: str) -> None:
-    atomic_write(path, dataset_bytes(dataset))
-
-
-def load_dataset(path: str) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    reader = Reader(blob)
-    reader.expect_magic(DATASET_MAGIC)
-    version = reader.u32()
-    if version != DATASET_VERSION:
-        raise FormatError(f"unsupported dataset version {version}")
-    dims = tuple(reader.u32() for _ in range(5))
-    total = math.prod(dims)
-    if total > 2**40:
-        raise DimOverflowError(f"dims {dims} imply an implausible payload")
-    dtype = reader.u8()
-    if dtype != DTYPE_F32:
-        raise FormatError(f"unknown dtype code {dtype}")
-    payload = reader.take(4 * total)
-    if not reader.done():
-        raise FormatError("trailing bytes after frame data")
-    try:
-        return Dataset(np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims))
-    except ValueError as exc:  # Dataset's own value check
-        raise FormatError(str(exc)) from exc

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,7 @@ from contextvp.pmd import (
     pmd_scan,  # not called here; the benchmark tracer patches it by name
 )
 from contextvp.prng import SplitMix64
-from contextvp.serial import Reader, Writer, atomic_write
+from contextvp.serial import Reader, atomic_write
 from contextvp.tensor import Tensor, Tape, ShapeError
 
 MODEL_MAGIC = b"CVPM"
@@ -137,6 +138,9 @@ def param_shapes(spec: ModelSpec) -> dict:
     shapes = {}
     cin = spec.in_channels
     outs = []  # each layer's output channels, before skip concatenation
+    sources = {}  # dst -> its skip sources, built once: a forged file may hold many pairs
+    for src, dst in spec.skip_pairs:
+        sources.setdefault(dst, []).append(src)
     for idx, (n1, n2) in enumerate(spec.layers, start=1):
         for group in groups:
             shapes[f"layer{idx}.{group}.kx"] = (k, k, cin, len(GATES) * n1)
@@ -146,7 +150,7 @@ def param_shapes(spec: ModelSpec) -> dict:
             shapes[f"layer{idx}.blend.weight"] = (1, 1, len(DIRECTIONS) * n1, n2)
             shapes[f"layer{idx}.blend.bias"] = (n2,)
         outs.append(n2 if spec.kind == "contextvp" else n1)
-        cin = outs[-1] + sum(outs[src - 1] for src, dst in spec.skip_pairs if dst == idx)
+        cin = outs[-1] + sum(outs[src - 1] for src in sources.get(idx, ()))
     shapes["head.weight"] = (1, 1, cin, spec.in_channels)
     shapes["head.bias"] = (spec.in_channels,)
     return shapes
@@ -319,15 +323,10 @@ def baseline_width_for(target_params: float, n_layers: int = 20, kernel: int = 3
 # -- serialization -------------------------------------------------------------
 
 def model_bytes(model: Model) -> bytes:
-    w = Writer()
-    w.raw(MODEL_MAGIC)
-    w.u32(MODEL_VERSION)
     blob = json.dumps(model.spec.to_dict(), sort_keys=True, separators=(",", ":")).encode()
-    w.u64(len(blob))
-    w.raw(blob)
-    for t in model.parameters.values():
-        w.raw(t.data.astype("<f8").tobytes())
-    return w.getvalue()
+    parts = [MODEL_MAGIC, struct.pack("<IQ", MODEL_VERSION, len(blob)), blob]
+    parts += [t.data.astype("<f8").tobytes() for t in model.parameters.values()]
+    return b"".join(parts)
 
 
 def save_model(model: Model, path: str) -> None:
@@ -352,7 +351,7 @@ def load_model(path: str) -> Model:
         raise serial.FormatError(f"invalid model spec: {exc}") from exc
     # checked before any value is read, so a forged spec cannot make the
     # loader allocate what it asks for
-    n_scalars = count_from_spec(spec)
+    n_scalars = sum(math.prod(shape) for shape in shapes.values())
     left = reader.remaining()
     if 8 * n_scalars > left:
         raise serial.TruncatedFileError(

@@ -95,6 +95,8 @@ class PMDUnit:
     b: Tensor
 
     def __post_init__(self):
+        if len(self.kx.shape) != 4 or self.kx.shape[0] != self.kx.shape[1]:
+            raise ShapeError(f"kx: shape {self.kx.shape}, expected [k, k, Cin, 4Ch]")
         k, _, _, stacked = self.kx.shape
         if k % 2 == 0:
             raise ShapeError(f"kernel size must be odd, got {k}")

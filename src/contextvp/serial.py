@@ -1,4 +1,4 @@
-"""Little-endian binary IO helpers shared by the model and dataset formats."""
+"""Little-endian binary reading and atomic writes for the model file."""
 
 from __future__ import annotations
 
@@ -19,13 +19,6 @@ class TruncatedFileError(FormatError):
     pass
 
 
-class DimOverflowError(FormatError):
-    pass
-
-
-U32_MAX = 2**32 - 1
-
-
 class Reader:
     def __init__(self, blob: bytes):
         self._blob = blob
@@ -41,9 +34,6 @@ class Reader:
         self._pos += n
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
@@ -57,31 +47,6 @@ class Reader:
 
     def remaining(self) -> int:
         return len(self._blob) - self._pos
-
-    def done(self) -> bool:
-        return self.remaining() == 0
-
-
-class Writer:
-    def __init__(self):
-        self._parts: list[bytes] = []
-
-    def raw(self, b: bytes) -> None:
-        self._parts.append(b)
-
-    def u8(self, v: int) -> None:
-        self._parts.append(struct.pack("<B", v))
-
-    def u32(self, v: int) -> None:
-        if v > U32_MAX:
-            raise DimOverflowError(f"value {v} does not fit in u32")
-        self._parts.append(struct.pack("<I", v))
-
-    def u64(self, v: int) -> None:
-        self._parts.append(struct.pack("<Q", v))
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
 
 
 def atomic_write(path: str, blob: bytes) -> None:

@@ -11,14 +11,18 @@ import contextvp.loss_optim as cv_loss
 import contextvp.model as cv_model
 from contextvp.tensor import Tape, Tensor
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH_DIR / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_bench("tracer")
 
 
 def test_tracer_hooks_resolve_and_uninstall_restores():
@@ -75,3 +79,17 @@ def test_tracer_still_names_each_tracer_only_src_name():
     assert "pmd_scan" in {attr for _, attr, _ in tracer.FUNCTIONS}
     assert {"relu", "reshape", "layer_norm"} <= set(tracer.TAPE_OPS)
     assert ".unit_groups" in inspect.getsource(tracer.Tracer.attach)
+
+
+def test_every_workload_sets_up_and_runs_a_call(tmp_path):
+    # the benchmark's set-up calls contextvp's public API, so an API change
+    # that breaks a workload fails here rather than only in a benchmark run
+    workloads = load_bench("workloads")
+    for name, make in workloads.WORKLOADS.items():
+        wl = make(0, str(tmp_path), name)
+        try:
+            wl.setup()
+            wl.observe(0, wl.call(0))
+            assert wl.failed_calls == 0, name
+        finally:
+            wl.cleanup()

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -575,14 +577,9 @@ def load_cvpm(tmp_path, spec_json: bytes, n_values: int | None = None):
     the part under test is wrong."""
     if n_values is None:
         n_values = count_from_spec(tiny_spec())
-    w = serial.Writer()
-    w.raw(MODEL_MAGIC)
-    w.u32(MODEL_VERSION)
-    w.u64(len(spec_json))
-    w.raw(spec_json)
-    w.raw(bytes(8 * n_values))
+    header = MODEL_MAGIC + struct.pack("<IQ", MODEL_VERSION, len(spec_json))
     path = tmp_path / "m.cvpm"
-    path.write_bytes(w.getvalue())
+    path.write_bytes(header + spec_json + bytes(8 * n_values))
     return load_model(str(path))
 
 
@@ -638,6 +635,16 @@ class TestMalformedModelFiles:
         monkeypatch.setattr(model_module, "build", no_build)
         with pytest.raises(serial.TruncatedFileError, match="float64 values"):
             load_cvpm(tmp_path, tiny_spec_json(layers=[[4096, 4096]] * 4))
+
+    def test_forged_skip_pairs_refused_quickly(self, tmp_path):
+        # a few hundred KB of spec: 20,000 layers, each pair naming the last
+        # one; rescanning every pair for every layer took over 10 s to refuse it
+        spec_json = tiny_spec_json(kind="convlstm_baseline", layers=[[1, 1]] * 20000,
+                                   skip_pairs=[[1, 20000]] * 20000)
+        start = time.perf_counter()
+        with pytest.raises(serial.TruncatedFileError, match="float64 values"):
+            load_cvpm(tmp_path, spec_json, n_values=0)
+        assert time.perf_counter() - start < 3.0
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -660,3 +660,8 @@ class TestDirectionalWeightSharing:
             PMDUnit(kx=t((3, 3, 1, 8)), ks=t((3, 3, 2, 8)), b=t((2,)))
         with pytest.raises(ShapeError, match="gates"):
             PMDUnit(kx=t((3, 3, 1, 6)), ks=t((3, 3, 1, 6)), b=t((6,)))
+        # a non-square or rank-3 kx failed only later, inside a scan or unpacking
+        with pytest.raises(ShapeError, match=r"kx.*\[k, k, Cin, 4Ch\]"):
+            PMDUnit(kx=t((3, 5, 1, 4)), ks=t((3, 3, 1, 4)), b=t((4,)))
+        with pytest.raises(ShapeError, match=r"kx.*\[k, k, Cin, 4Ch\]"):
+            PMDUnit(kx=t((3, 3, 4)), ks=t((3, 3, 1, 4)), b=t((4,)))

@@ -2,8 +2,7 @@ import os
 
 import pytest
 
-from contextvp import serial
-from contextvp.serial import DimOverflowError, Writer, atomic_write
+from contextvp.serial import atomic_write
 
 
 class TestAtomicWrite:
@@ -19,12 +18,3 @@ class TestAtomicWrite:
             atomic_write(str(path), b"new contents")
         assert path.read_bytes() == b"old contents"
         assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
-
-
-class TestWriter:
-    def test_u32_bounds(self):
-        w = Writer()
-        w.u32(serial.U32_MAX)
-        assert w.getvalue() == b"\xff\xff\xff\xff"
-        with pytest.raises(DimOverflowError, match=str(2**32)):
-            w.u32(2**32)
