@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from contextvp.prng import SplitMix64
+from contextvp.tensor import ShapeError
 
 SHAPE_KINDS = ("square", "disc")
 
@@ -159,8 +160,10 @@ def window(frames: np.ndarray, input_len: int):
 
     Each sequence of length T yields T - input_len pairs; pair k of a
     sequence inputs frames [k, k + input_len) and targets frame
-    k + input_len.
+    k + input_len. Raises ShapeError for frames of any other rank.
     """
+    if frames.ndim != 5:
+        raise ShapeError(f"frames must be [N, T, H, W, C], got rank {frames.ndim}")
     t_len = frames.shape[1]
     if not 0 < input_len < t_len:
         raise ValueError(

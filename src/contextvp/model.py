@@ -1,5 +1,5 @@
 """Model assembly: the five-direction stack, the time-only deep baseline,
-prediction entry points, parameter accounting and serialization.
+prediction entry points, parameter accounting and the model file.
 
 Each layer runs its directional scans over the incoming cuboid and
 blends them with a pointwise linear projection. A skip pair (src, dst)
@@ -22,13 +22,16 @@ the forward convolves with, [1, 1, 5*N1, N2] and [1, 1, Cin, C].
 `build` draws the table's entries from a seed and `count_from_spec`
 sums its shapes.
 
-A model file is the spec plus the values: the magic b"CVPM", the u32
-MODEL_VERSION, the u64 length of the spec JSON, the spec JSON, then every
-value of the table as little-endian float64, tensor after tensor in table
-order, each in row-major order. Nothing else: names and shapes follow from
-the spec. `load_model` checks that the values fill the rest of the file
-exactly, reads them in place into fresh arrays, and refuses a value that is
-not finite.
+A model file is the spec plus the values: the header `_HEADER` (the magic
+b"CVPM", the u32 MODEL_VERSION, the u64 length of the spec JSON), the spec
+JSON, then every value of the table as little-endian float64, tensor after
+tensor in table order, each in row-major order. Nothing else: names and
+shapes follow from the spec. `save_model` writes it atomically, through a
+temp file and a rename. `load_model` checks that the values fill the rest
+of the file exactly, reads them in place into fresh arrays, and refuses a
+value that is not finite; every malformed file raises a `FormatError`:
+`BadMagicError` for a wrong magic, `TruncatedFileError` for a file that
+ends early, plain `FormatError` for anything else.
 """
 
 from __future__ import annotations
@@ -36,12 +39,13 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import struct
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from contextvp import serial
 from contextvp.loss_optim import xavier_uniform
 from contextvp.pmd import (
     DIRECTIONS,
@@ -52,13 +56,13 @@ from contextvp.pmd import (
     pmd_scan,  # not called here; the benchmark tracer patches it by name
 )
 from contextvp.prng import SplitMix64
-from contextvp.serial import Reader, atomic_write
 from contextvp.tensor import Tensor, Tape, ShapeError
 
 MODEL_MAGIC = b"CVPM"
 # bumped whenever the spec JSON keys, the parameter table or the file layout
 # change; only the current version is read
 MODEL_VERSION = 5
+_HEADER = struct.Struct("<4sIQ")  # magic, version, spec JSON length
 
 KINDS = ("contextvp", "convlstm_baseline")
 
@@ -102,15 +106,6 @@ class ModelSpec:
                     f"skip pair ({src}, {dst}) invalid for {n} layers "
                     "(need 1 <= src < dst <= layers)"
                 )
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "layers": [list(p) for p in self.layers],
-            "kernel": self.kernel,
-            "skip_pairs": [list(p) for p in self.skip_pairs],
-            "in_channels": self.in_channels,
-        }
 
     @classmethod
     def convlstm_baseline(cls, width: int = 16, n_layers: int = 20, **kw):
@@ -320,53 +315,83 @@ def baseline_width_for(target_params: float, n_layers: int = 20, kernel: int = 3
     return hi - 1 if hi > 1 and gap(hi) > -gap(hi - 1) else hi
 
 
-# -- serialization -------------------------------------------------------------
+# -- model file ----------------------------------------------------------------
+
+class FormatError(ValueError):
+    pass
+
+
+class BadMagicError(FormatError):
+    pass
+
+
+class TruncatedFileError(FormatError):
+    pass
+
 
 def model_bytes(model: Model) -> bytes:
-    blob = json.dumps(model.spec.to_dict(), sort_keys=True, separators=(",", ":")).encode()
-    parts = [MODEL_MAGIC, struct.pack("<IQ", MODEL_VERSION, len(blob)), blob]
+    blob = json.dumps(asdict(model.spec), sort_keys=True, separators=(",", ":")).encode()
+    parts = [_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, len(blob)), blob]
     parts += [t.data.astype("<f8").tobytes() for t in model.parameters.values()]
     return b"".join(parts)
 
 
 def save_model(model: Model, path: str) -> None:
-    atomic_write(path, model_bytes(model))
+    """Write the model file through a temp file in the same directory and an
+    atomic rename over `path`, so a reader never sees a partial file and a
+    save that fails keeps the old file whole and leaves no temp file behind."""
+    blob = model_bytes(model)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_model(path: str) -> Model:
     """Read a model file. Any malformed content, a parameter value that is
-    not finite included, raises a serial.FormatError."""
+    not finite included, raises a FormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    reader = Reader(blob)
-    reader.expect_magic(MODEL_MAGIC)
-    version = reader.u32()
+    magic = blob[:len(MODEL_MAGIC)]
+    if len(magic) < len(MODEL_MAGIC):
+        raise TruncatedFileError(f"file has {len(blob)} bytes, shorter than the magic")
+    if magic != MODEL_MAGIC:
+        raise BadMagicError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}")
+    if len(blob) < _HEADER.size:
+        raise TruncatedFileError(f"file has {len(blob)} bytes, header needs {_HEADER.size}")
+    _, version, spec_len = _HEADER.unpack_from(blob)
     if version != MODEL_VERSION:
-        raise serial.FormatError(f"unsupported model version {version}")
-    spec_blob = reader.take(reader.u64())
+        raise FormatError(f"unsupported model version {version}")
+    offset = _HEADER.size + spec_len
+    if offset > len(blob):
+        raise TruncatedFileError(f"spec JSON of {spec_len} bytes runs past the end of the file")
     try:
-        spec = ModelSpec(**json.loads(spec_blob.decode()))
+        spec = ModelSpec(**json.loads(blob[_HEADER.size:offset].decode()))
         shapes = param_shapes(spec)
     except (ValueError, TypeError, RecursionError) as exc:
-        raise serial.FormatError(f"invalid model spec: {exc}") from exc
+        raise FormatError(f"invalid model spec: {exc}") from exc
     # checked before any value is read, so a forged spec cannot make the
     # loader allocate what it asks for
     n_scalars = sum(math.prod(shape) for shape in shapes.values())
-    left = reader.remaining()
+    left = len(blob) - offset
     if 8 * n_scalars > left:
-        raise serial.TruncatedFileError(
+        raise TruncatedFileError(
             f"spec needs {n_scalars} float64 values, file has {left} bytes left"
         )
     if 8 * n_scalars < left:
-        raise serial.FormatError(f"{left - 8 * n_scalars} trailing bytes after the last value")
+        raise FormatError(f"{left - 8 * n_scalars} trailing bytes after the last value")
     # read in place, one copy per tensor: copying the ~1 MB payload out of
     # the blob first doubled the load time
-    offset = len(blob) - left
     params = {}
     for name, shape in shapes.items():
         values = np.frombuffer(blob, "<f8", count=math.prod(shape), offset=offset)
         if not np.all(np.isfinite(values)):
-            raise serial.FormatError(f"tensor {name!r} holds a value that is not finite")
+            raise FormatError(f"tensor {name!r} holds a value that is not finite")
         # astype copies, so the parameter is writable and owns its memory
         params[name] = Tensor(values.reshape(shape).astype(np.float64), requires_grad=True)
         offset += values.nbytes

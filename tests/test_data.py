@@ -12,6 +12,7 @@ from contextvp.data import (
     render_sequence,
     window,
 )
+from contextvp.tensor import ShapeError
 
 
 class TestBounceTrack:
@@ -116,3 +117,9 @@ class TestGenerate:
         assert y[0, 0, 0] == 9.0
         with pytest.raises(ValueError):
             window(frames, input_len=5)
+
+    @pytest.mark.parametrize("shape", [(5, 8, 8, 1), (1, 2, 5, 8, 8, 1)], ids=["rank4", "rank6"])
+    def test_window_refuses_other_ranks(self, shape):
+        # a single [T, H, W, C] sequence would otherwise be cut along H
+        with pytest.raises(ShapeError, match="rank"):
+            window(np.zeros(shape), 3)

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import struct
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import contextvp.model as model_module
 import contextvp.pmd as pmd
-import contextvp.serial as serial
 from contextvp.loss_optim import (
     AdamState,
     LossSpec,
@@ -21,10 +22,13 @@ from contextvp.prng import SplitMix64
 from contextvp.tensor import Tensor, Tape, ShapeError
 from contextvp.pmd import DIRECTIONS, GATES, blend
 from contextvp.model import (
+    BadMagicError,
+    FormatError,
     MODEL_MAGIC,
     MODEL_VERSION,
     Model,
     ModelSpec,
+    TruncatedFileError,
     baseline_width_for,
     build,
     count_from_spec,
@@ -482,13 +486,13 @@ class TestSerialization:
         blob = model_bytes(model)
         path = tmp_path / "cut.cvpm"
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(serial.TruncatedFileError):
+        with pytest.raises(TruncatedFileError):
             load_model(str(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.cvpm"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(serial.BadMagicError):
+        with pytest.raises(BadMagicError):
             load_model(str(path))
 
     def test_shared_tensors_stored_once(self, tmp_path):
@@ -563,12 +567,27 @@ class TestSerialization:
         blob[4:8] = version.to_bytes(4, "little")
         path = tmp_path / "old.cvpm"
         path.write_bytes(bytes(blob))
-        with pytest.raises(serial.FormatError, match=f"version {version}"):
+        with pytest.raises(FormatError, match=f"version {version}"):
             load_model(str(path))
 
 
+class TestAtomicWrite:
+    def test_failed_replace_keeps_old_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"old contents")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            save_model(build(tiny_spec(), 0), str(path))
+        assert path.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.bin"]
+
+
 def tiny_spec_json(**changes):
-    return json.dumps({**tiny_spec().to_dict(), **changes}).encode()
+    return json.dumps({**asdict(tiny_spec()), **changes}).encode()
 
 
 def load_cvpm(tmp_path, spec_json: bytes, n_values: int | None = None):
@@ -584,7 +603,18 @@ def load_cvpm(tmp_path, spec_json: bytes, n_values: int | None = None):
 
 
 class TestMalformedModelFiles:
-    """Every malformed model file fails with a serial.FormatError."""
+    """Every malformed model file fails with a FormatError."""
+
+    @pytest.mark.parametrize("cut", [0, 3, 4, 8, 15, 16, "spec"])
+    def test_cut_header_or_spec_is_truncated(self, tmp_path, cut):
+        # each field of the header cut short, then the spec JSON one byte short
+        blob = model_bytes(build(tiny_spec(), 0))
+        if cut == "spec":
+            cut = 16 + int.from_bytes(blob[8:16], "little") - 1
+        path = tmp_path / "cut.cvpm"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(TruncatedFileError):
+            load_model(str(path))
 
     @pytest.mark.parametrize("spec_json", [
         b"{not json",
@@ -605,15 +635,15 @@ class TestMalformedModelFiles:
             "float-kernel", "text-width", "nested-past-recursion-limit", "dws-string",
             "float-width", "baseline-n1-n2", "dws-key", "blend-mode-key"])
     def test_bad_spec(self, tmp_path, spec_json):
-        with pytest.raises(serial.FormatError, match="invalid model spec"):
+        with pytest.raises(FormatError, match="invalid model spec"):
             load_cvpm(tmp_path, spec_json)
 
     def test_payload_one_value_short(self, tmp_path):
-        with pytest.raises(serial.TruncatedFileError, match="float64 values"):
+        with pytest.raises(TruncatedFileError, match="float64 values"):
             load_cvpm(tmp_path, tiny_spec_json(), count_from_spec(tiny_spec()) - 1)
 
     def test_payload_one_value_over(self, tmp_path):
-        with pytest.raises(serial.FormatError, match="trailing"):
+        with pytest.raises(FormatError, match="trailing"):
             load_cvpm(tmp_path, tiny_spec_json(), count_from_spec(tiny_spec()) + 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -623,7 +653,7 @@ class TestMalformedModelFiles:
         blob[-8:] = np.array([bad], dtype="<f8").tobytes()
         path = tmp_path / "m.cvpm"
         path.write_bytes(bytes(blob))
-        with pytest.raises(serial.FormatError, match="'head.bias'.*not finite"):
+        with pytest.raises(FormatError, match="'head.bias'.*not finite"):
             load_model(str(path))
 
     def test_forged_spec_fails_before_build(self, tmp_path, monkeypatch):
@@ -633,7 +663,7 @@ class TestMalformedModelFiles:
             raise AssertionError("build called")
 
         monkeypatch.setattr(model_module, "build", no_build)
-        with pytest.raises(serial.TruncatedFileError, match="float64 values"):
+        with pytest.raises(TruncatedFileError, match="float64 values"):
             load_cvpm(tmp_path, tiny_spec_json(layers=[[4096, 4096]] * 4))
 
     def test_forged_skip_pairs_refused_quickly(self, tmp_path):
@@ -642,7 +672,7 @@ class TestMalformedModelFiles:
         spec_json = tiny_spec_json(kind="convlstm_baseline", layers=[[1, 1]] * 20000,
                                    skip_pairs=[[1, 20000]] * 20000)
         start = time.perf_counter()
-        with pytest.raises(serial.TruncatedFileError, match="float64 values"):
+        with pytest.raises(TruncatedFileError, match="float64 values"):
             load_cvpm(tmp_path, spec_json, n_values=0)
         assert time.perf_counter() - start < 3.0
 
@@ -657,5 +687,5 @@ class TestMalformedModelFiles:
         path.write_bytes(bytes(blob))
         try:
             load_model(str(path))
-        except serial.FormatError:
+        except FormatError:
             pass
