@@ -20,9 +20,10 @@ recurrence per direction on that projection.
 Bit-identity. The forward runs the float operations of the tape-composed
 step (conv2d, gate slices, sigmoid, tanh, mul, add) on contiguous buffers
 (see `_Sweep.forward`), so its values equal that chain's bit for bit. The
-ks and kx gradients are summed plane by plane (`_kernel_grad`), so no
-backward buffer spans more than one plane; they differ from one
-whole-layer matmul by under 1e-14 of each tensor's largest entry.
+ks and kx gradients are summed plane by plane in increasing plane index
+(`_kernel_grad`, or inside BPTT for a pair's - direction), so no backward
+buffer spans more than one plane; they differ from one whole-layer matmul
+by under 1e-14 of each tensor's largest entry.
 
 Stored state. A recorded node keeps its output and, per direction, the
 gate activations `acts` [4Ch per position], all directions' in one
@@ -31,15 +32,18 @@ block; it keeps no cells. BPTT rebuilds a direction's cells from its
 same operands, which are correctly rounded, so the rebuilt cells are the
 forward's bit for bit, on every backward of the tape.
 
-Backward phases, per group. The critical phase, which the next node down
-the tape waits for, runs BPTT over the whole batch per direction, then
-takes the input gradient: a lone direction's from its pre-activation
-gradients in one call, a pair's plane by plane from the two directions'
-sum for that plane, so no sum spans the layer. The deferred phase then
-takes the ks gradient per direction, and the kx gradient and bias sum
-from the pre-activation gradients added in place, as one task whose
-gradients the node returns as futures (see `Tape.record`). A kx or b
-shared within a group gets its gradient once.
+Backward phases, per group. A group holds one [L, *plane, 4Ch]
+pre-activation-gradient buffer. The critical phase, which the next node
+down the tape waits for, runs BPTT over the whole batch per direction,
+then takes the input gradient from the buffer: a lone direction's in one
+call, a pair's one plane at a time. In a pair, the + direction's BPTT
+fills the buffer and its ks gradient is read from it; the - direction's
+BPTT then makes each plane in a one-plane buffer, takes its ks term from
+it, and adds it into the buffer, which so holds the pair's sum, made once.
+The deferred phase then takes a lone direction's ks gradient, and the kx
+gradient and bias sum from the buffer, as one task whose gradients the
+node returns as futures (see `Tape.record`). A kx or b shared within a
+group gets its gradient once.
 
 Thread rule. A recorded node (the tape records and some input needs a
 gradient) runs its groups' forward and critical phases on a module-level
@@ -212,26 +216,44 @@ class _Sweep:
             np.add(fc, cells[i], out=cells[i])
         return cells
 
-    def bptt(self, g: np.ndarray, dpre: np.ndarray) -> None:
-        """BPTT over the whole batch's planes in reverse scan order, writing
-        the pre-activation gradients into the plane-first dpre. The float
-        operations are those of the tape-composed step's backward, in the
-        same order; every plane step writes into buffers made once. Each
-        gate's products run in contiguous buffers and write its strided
-        slice of dpre once."""
+    def bptt(self, g: np.ndarray, dpre: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray | None:
+        """BPTT over the whole batch's planes in reverse scan order into the
+        plane-first pre-activation gradients dpre. The float operations are
+        those of the tape-composed step's backward, in the same order; every
+        plane step writes into buffers made once. Each gate's products run
+        in contiguous buffers and write its strided slice of a plane once.
+
+        Without `out`, each plane is written into dpre. Given the node's
+        output `out`, dpre holds the pair's other direction's gradients:
+        each plane is made in a one-plane buffer, its state gradient lowered
+        from that, and then added into dpre's plane. When the unit needs
+        gradients, this also returns the ks gradient, whose term for plane i
+        is rows(state of the plane before it in scan order).T @ plane i's
+        gradient: this direction scans in decreasing index, so BPTT meets
+        the planes in increasing index and sums the terms in
+        `_kernel_grad`'s order, bit for bit."""
         ch = self.ch
         gs = self.planes(g[..., self.span])
         acts, cells = self.acts, self.cells()
         plane = cells.shape[1:-1]
         tc, t, u, d_s, d_c, dc = (np.empty(plane + (ch,)) for _ in range(6))
         state_grad = InputGrad(dpre.shape[1:], self.ks)
+        one_plane = None if out is None else np.empty(dpre.shape[1:])
+        rows = None
+        if out is not None and self.need_params:
+            states = self.planes(out[..., self.span])
+            rows = PatchRows(states.shape[1:], self.k, self.k)
+            gks = np.zeros((rows.rows.shape[1], 4 * ch))
+            term = np.empty(gks.shape)
         ds = None  # the state gradient from the plane after this one in scan order
         for q in reversed(range(len(self.order))):
             i = self.order[q]
+            d = dpre[i] if one_plane is None else one_plane
             gate_in, gate_forget, gate_out, cand = (
                 acts[i, ..., j * ch:(j + 1) * ch] for j in range(4)
             )
-            d_in, d_forget, d_out, d_cand = (dpre[i, ..., j * ch:(j + 1) * ch] for j in range(4))
+            d_in, d_forget, d_out, d_cand = (d[..., j * ch:(j + 1) * ch] for j in range(4))
             np.tanh(cells[i], out=tc)
             grad_s = gs[i] if ds is None else np.add(gs[i], ds, out=d_s)
             # d_c = grad_s * gate_out * (1 - tc^2) (+ dc)
@@ -253,7 +275,13 @@ class _Sweep:
             else:
                 _gate_grad(d_c, cells[self.order[q - 1]], gate_forget, u, t, out=d_forget)
                 np.multiply(d_c, gate_forget, out=dc)
-                ds = state_grad(dpre[i])
+                ds = state_grad(d)
+                if rows is not None:
+                    np.matmul(rows(states[self.order[q - 1]]).T, d.reshape(-1, 4 * ch), out=term)
+                    gks += term
+            if one_plane is not None:
+                np.add(dpre[i], one_plane, out=dpre[i])
+        return None if rows is None else gks.reshape(self.ks.shape)
 
     def state_kernel_grad(self, out: np.ndarray, dpre: np.ndarray) -> np.ndarray:
         """The ks gradient from this direction's pre-activation gradients,
@@ -310,55 +338,54 @@ def _group_forward(group: list, x: np.ndarray, out: np.ndarray, b: slice) -> Non
         sw.forward(proj, out, b)
 
 
-def _group_backward(group: list, batches: list, g: np.ndarray, need_x: bool):
+def _group_backward(group: list, batches: list, g: np.ndarray, out: np.ndarray, need_x: bool):
     """A direction group's critical phase: whole-batch BPTT per direction
-    into its pre-activation gradients, then, when `need_x`, the group's
-    plane-first input gradient from their sum, one `_map` item per batch
-    slice; a pair's sum is made and lowered one plane at a time. Returns
-    (the pre-activation gradient per direction, the input gradient per
-    batch slice or None)."""
-    dpres = [np.empty(sw.acts.shape) for sw in group]
-    for sw, dpre in zip(group, dpres):
-        sw.bptt(g, dpre)
+    into one pre-activation-gradient buffer, then, when `need_x`, the
+    group's plane-first input gradient from it, one `_map` item per batch
+    slice. A pair is (h-, h+) or (w-, w+): the + direction's BPTT fills
+    the buffer and, when the unit needs gradients, its ks gradient is read
+    from it; then the - direction's BPTT adds each of its planes in and
+    takes its own ks gradient (`_Sweep.bptt`), so the buffer ends as the
+    pair's sum. A lone direction lowers its slice at once, a pair one plane
+    at a time. Returns ([the buffer], the pair's ks gradients or None, the
+    input gradient per batch slice or None)."""
+    dpre = np.empty(group[-1].acts.shape)
+    group[-1].bptt(g, dpre)
+    gks = None
+    if len(group) == 2:
+        minus, plus = group
+        gk_plus = plus.state_kernel_grad(out, dpre) if plus.need_params else None
+        gks = [minus.bptt(g, dpre, out), gk_plus]
     kx = group[0].kx
 
     def input_grad(b):
-        ds = [d[:, b] for d in dpres]
-        planes, lead = len(ds[0]), ds[0].shape[1:]
-        # planes per chunk: a lone direction needs no sum and lowers its
-        # slice at once; a pair sums and lowers one plane at a time
-        size = planes if len(ds) == 1 else 1
-        lower = InputGrad((size,) + lead, kx)
-        total = np.empty((size,) + lead) if len(ds) > 1 else None
-        gx = np.empty((planes,) + lead[:-1] + (kx.shape[2],)) if size < planes else None
-        for s in range(0, planes, size):
-            c = slice(s, s + size)
-            part = lower(ds[0][c] if total is None else np.add(ds[0][c], ds[1][c], out=total))
-            if gx is None:
-                return part
-            gx[c] = part
+        d = dpre[:, b]
+        if len(group) == 1:
+            return InputGrad(d.shape, kx)(d)
+        lower = InputGrad((1,) + d.shape[1:], kx)
+        gx = np.empty(d.shape[:-1] + (kx.shape[2],))
+        for s in range(len(d)):
+            gx[s:s + 1] = lower(d[s:s + 1])
         return gx
 
-    return dpres, list(_map(input_grad, batches, parallel=True)) if need_x else None
+    return [dpre], gks, list(_map(input_grad, batches, parallel=True)) if need_x else None
 
 
-def _param_grads(group: list, x, out, dpres: list) -> list:
+def _param_grads(group: list, x, out, dpres: list, gks: list | None) -> list:
     """A direction group's deferred phase: [kx gradient, bias sum, then
-    the ks gradient per direction]. The kx gradient and bias sum read the
-    sum of the pre-activation gradients, made in place in the first once
-    the ks gradients have read them all. The task owns `dpres` and empties
-    it while summing, so a pair's second buffer is freed before the kx
-    gradient is taken."""
-    first = group[0]
-    gks = [sw.state_kernel_grad(out, dpre) for sw, dpre in zip(group, dpres)]
-    dsum = dpres.pop(0)
-    while dpres:
-        dsum += dpres.pop(0)
-    gkx = _kernel_grad(first.planes(x), dsum, first.kx.shape)
-    return [gkx, dsum.reshape(-1, dsum.shape[-1]).sum(axis=0)] + gks
+    the ks gradient per direction], the kx gradient and bias sum from the
+    group's one pre-activation-gradient buffer. A lone direction's ks
+    gradient is taken here; a pair's, taken in its critical phase, come in
+    `gks`. The task owns the one-item list `dpres` and empties it, so the
+    buffer is freed when the task ends."""
+    first, dpre = group[0], dpres.pop()
+    if gks is None:
+        gks = [first.state_kernel_grad(out, dpre)]
+    gkx = _kernel_grad(first.planes(x), dpre, first.kx.shape)
+    return [gkx, dpre.reshape(-1, dpre.shape[-1]).sum(axis=0)] + gks
 
 
-def _defer_param_grads(group: list, x, out, dpres: list) -> list:
+def _defer_param_grads(group: list, x, out, dpres: list, gks: list | None) -> list:
     """Start a group's deferred phase as one task, on the pool when it has
     two or more threads. Returns its gradients as futures in the node's
     input order, [kx, ks, b] per direction, None for the kx and b after
@@ -366,7 +393,7 @@ def _defer_param_grads(group: list, x, out, dpres: list) -> list:
     needs no gradient."""
     if not group[0].need_params:
         return [None] * (3 * len(group))
-    task = _start(_param_grads, group, x, out, dpres, parallel=_THREADS > 1)
+    task = _start(_param_grads, group, x, out, dpres, gks, parallel=_THREADS > 1)
     gkx, gb, *gks = (_item(task, j) for j in range(2 + len(group)))
     return [gkx, gks[0], gb] + [grad for f in gks[1:] for grad in (None, f, None)]
 
@@ -466,14 +493,14 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
         gx = np.zeros(x.shape) if need_x else None
         grads = []
         critical = _map(
-            lambda group: _group_backward(group, batches, g, need_x), groups, parallel=True
+            lambda group: _group_backward(group, batches, g, out, need_x), groups, parallel=True
         )
         # each group's deferred phase starts once its critical phase is
-        # read, so the t- group's buffers need not wait for a pair's BPTT.
+        # read, so the t- group's buffer need not wait for a pair's BPTT.
         # A pair's directions are neighbours in DIRECTIONS (h-, h+ and
         # w-, w+), so the groups list the directions in that order
-        for group, (dpres, parts) in zip(groups, critical):
-            grads += _defer_param_grads(group, x, out, dpres)
+        for group, (dpres, gks, parts) in zip(groups, critical):
+            grads += _defer_param_grads(group, x, out, dpres, gks)
             if need_x:
                 for b, part in zip(batches, parts):
                     gx[b] += np.moveaxis(part, 0, group[0].axis)

@@ -5,6 +5,8 @@ reimplement bit-exactly in any language, which keeps generated datasets,
 initialized models and shuffle orders portable across implementations.
 """
 
+import operator
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -31,7 +33,11 @@ class SplitMix64:
     def next_floats(self, n: int) -> np.ndarray:
         """The next n `next_float` draws as a float64 array, in one pass of
         numpy uint64 arithmetic (which wraps modulo 2^64 like the masks
-        above); the state advances by n draws."""
+        above); the state advances by n draws. n must be an integer >= 0,
+        checked before the state moves."""
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"next_floats needs n >= 0, got {n}")
         z = np.uint64(self._state) + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
         self._state = (self._state + n * _GAMMA) & _MASK64
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)

@@ -116,6 +116,24 @@ def _add_queued(entry) -> None:
         _accumulate(t, contrib.result() if isinstance(contrib, Future) else contrib)
 
 
+def _hand_out(node: _Node, queued: dict, futures: list) -> None:
+    """Run a node's backward_fn on its output gradient, release that, and
+    add each input's contribution or queue it (see `Tape.backward`). The
+    contributions die with this call, so none is alive while the next
+    node's backward_fn runs."""
+    contribs = node.backward_fn(node.output.grad)
+    node.output.grad = None
+    for t, contrib in zip(node.inputs, contribs):
+        if isinstance(contrib, Future):
+            futures.append(contrib)
+        if contrib is None or not t.requires_grad:
+            continue
+        if isinstance(contrib, Future) or id(t) in queued:
+            queued.setdefault(id(t), (t, []))[1].append(contrib)
+        else:
+            _accumulate(t, contrib)
+
+
 def _axis_index(axis: int, rank: int) -> int:
     if axis < 0:
         axis += rank
@@ -190,20 +208,8 @@ class Tape:
         try:
             for node in reversed(self.nodes):
                 _add_queued(queued.pop(id(node.output), None))
-                out_grad = node.output.grad
-                if out_grad is None:
-                    continue
-                contribs = node.backward_fn(out_grad)
-                node.output.grad = None
-                for t, contrib in zip(node.inputs, contribs):
-                    if isinstance(contrib, Future):
-                        futures.append(contrib)
-                    if contrib is None or not t.requires_grad:
-                        continue
-                    if isinstance(contrib, Future) or id(t) in queued:
-                        queued.setdefault(id(t), (t, []))[1].append(contrib)
-                    else:
-                        _accumulate(t, contrib)
+                if node.output.grad is not None:
+                    _hand_out(node, queued, futures)
             for entry in queued.values():
                 _add_queued(entry)
         finally:

@@ -390,6 +390,72 @@ class TestFusedLayer:
         acts = len(units) * positions * 4 * ch * 8
         assert 0 <= held - (out.data.nbytes + acts) < 32 * 1024
 
+    @pytest.mark.parametrize("layer", ["dws", "frozen-pair"])
+    def test_backward_holds_one_pre_activation_buffer_per_group(self, monkeypatch, layer):
+        # a pair's second direction adds its planes into the first's
+        # pre-activation gradients, so a group holds one [L, *plane, 4Ch]
+        # buffer, also when its unit needs no gradient. At one thread the
+        # groups run one after another, so the node's backward allocates
+        # one buffer, one direction's rebuilt cells (a quarter buffer) and
+        # per-plane buffers, patch rows and the input gradient, which the
+        # slack of half a buffer covers; two buffers per pair exceed it
+        monkeypatch.setattr(pmd, "_THREADS", 1)
+        rng = np.random.default_rng(42)
+        ch = 8
+        units = (
+            aliased_units(rng, 2, ch) if layer == "dws"
+            else dict.fromkeys(("h-", "h+"), make_unit(3, 2, ch, rng))
+        )
+        x = Tensor(rng.uniform(size=(1, 8, 32, 32, 2)), requires_grad=True)
+        tape = Tape()
+        out = pmd_layer(tape, units, x)
+        node = tape.nodes[-1]
+        real, rise = node.backward_fn, []
+
+        def measured(g):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = real(g)
+            rise.append(tracemalloc.get_traced_memory()[1] - held)
+            return grads
+
+        node.backward_fn = measured
+        loss = tape.sum(out)
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+        finally:
+            tracemalloc.stop()
+        buffer = np.prod(x.shape[:-1]) * 4 * ch * 8
+        assert rise and rise[0] < buffer * (1 + 0.25 + 0.5)
+
+    def test_pair_without_parameter_gradients(self, monkeypatch):
+        # a pair whose shared unit needs no gradient still gives the input
+        # gradient, bit for bit that of the same unit needing gradients,
+        # and its backward builds no patch rows for a ks gradient
+        rng = np.random.default_rng(43)
+        unit = make_unit(3, 2, 3, rng, grad=True)
+        frozen = PMDUnit(*(Tensor(t.data) for _, t in unit.fields()))
+        shape = (2, 3, 4, 5, 2)
+        x = Tensor(rng.uniform(size=shape), requires_grad=True)
+        weights = rng.uniform(-1, 1, size=shape[:-1] + (6,))
+        _, want = run_with_grads(pmd_layer, dict.fromkeys(("w-", "w+"), unit), x, weights)
+        x.grad = None
+        tape = Tape()
+        out = pmd_layer(tape, dict.fromkeys(("w-", "w+"), frozen), x)
+        built = []
+        real = tensor.PatchRows
+
+        def spy(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tensor, "PatchRows", spy)
+        monkeypatch.setattr(pmd, "PatchRows", spy)
+        tape.backward(tape.sum(tape.mul(out, Tensor(weights))))
+        assert built == []
+        np.testing.assert_array_equal(x.grad, want[0])
+
     def test_pooled_forward_equals_calling_thread(self, monkeypatch):
         rng = np.random.default_rng(32)
         for layer in POOL_LAYERS:

@@ -28,6 +28,24 @@ class TestNextFloats:
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert vec.next_u64() == scalar.next_u64()
 
+    def test_negative_count_refused_before_the_state_moves(self):
+        # a negative count once returned [] and rewound the stream, so the
+        # next draws repeated earlier ones
+        rng, ref = SplitMix64(5), SplitMix64(5)
+        rng.next_floats(3)
+        ref.next_floats(3)
+        with pytest.raises(ValueError, match="n >= 0"):
+            rng.next_floats(-2)
+        assert rng.next_floats(2).tobytes() == ref.next_floats(2).tobytes()
+
+    def test_count_must_be_an_integer(self):
+        rng = SplitMix64(5)
+        with pytest.raises(TypeError, match="integer"):
+            rng.next_floats(2.0)
+        assert rng.next_u64() == SplitMix64(5).next_u64()
+        # numpy integers are integers
+        assert rng.next_floats(np.int64(3)).tobytes() == SplitMix64(5).next_floats(4)[1:].tobytes()
+
     def test_range(self):
         draws = SplitMix64(7).next_floats(10000)
         assert draws.min() >= 0.0 and draws.max() < 1.0

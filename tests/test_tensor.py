@@ -1,5 +1,6 @@
 import threading
 import warnings
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
@@ -218,6 +219,29 @@ class TestBackward:
         assert ref_h.grad is not None
         for got, want in zip(leaves, ref_leaves):
             assert got.grad.tobytes() == want.grad.tobytes()
+
+    def test_contributions_released_before_the_next_node_runs(self):
+        # x -> early -> mid -> late -> loss: the gradient that late hands
+        # mid is added into mid.grad and must be dead by the time early's
+        # backward_fn runs, not held by the sweep
+        tape = Tape()
+        x = Tensor(np.ones(3), requires_grad=True)
+        handed, alive = [], []
+
+        def late_backward(g):
+            contrib = np.full(3, float(g))
+            handed.append(weakref.ref(contrib))
+            return (contrib,)
+
+        def early_backward(g):
+            alive.append(handed[0]() is not None)
+            return (g,)
+
+        mid = tape.record("early", (x,), x.data.copy(), early_backward)
+        loss = tape.record("late", (mid,), np.asarray(mid.data.sum()), late_backward)
+        tape.backward(loss)
+        assert alive == [False]
+        np.testing.assert_array_equal(x.grad, np.ones(3))
 
     def test_determinism_bit_identical(self):
         def run():
