@@ -8,6 +8,7 @@ per-pixel normalization.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,12 +19,11 @@ from contextvp.tensor import Tensor, Tape, ShapeError
 
 @dataclass
 class LossSpec:
-    """p in {1, 2}; weight_gdl defaults to 1 when p == 1 and 0 when p == 2,
-    weight_p is always 1 unless overridden. Both weights must be finite and
-    nonnegative."""
+    """p in {1, 2}; weight_gdl, the GDL term's weight relative to the Lp
+    term's 1, defaults to 1 when p == 1 and 0 when p == 2, and must be
+    finite and nonnegative."""
 
     p: int = 1
-    weight_p: float = 1.0
     weight_gdl: float | None = None
 
     def __post_init__(self):
@@ -31,10 +31,8 @@ class LossSpec:
             raise ValueError(f"p must be 1 or 2, got {self.p}")
         if self.weight_gdl is None:
             self.weight_gdl = 1.0 if self.p == 1 else 0.0
-        for name in ("weight_p", "weight_gdl"):
-            w = getattr(self, name)
-            if not (np.isfinite(w) and w >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {w}")
+        if not (np.isfinite(self.weight_gdl) and self.weight_gdl >= 0):
+            raise ValueError(f"weight_gdl must be finite and nonnegative, got {self.weight_gdl}")
 
 
 def _check_frames(y: Tensor, pred: Tensor):
@@ -81,11 +79,12 @@ def gdl_loss(tape: Tape, y: Tensor, pred: Tensor) -> Tensor:
 
 
 def combined_loss(tape: Tape, y: Tensor, pred: Tensor, spec: LossSpec) -> Tensor:
-    """weight_p * Lp + weight_gdl * GDL, differentiable through the tape.
+    """Lp + weight_gdl * GDL, differentiable through the tape; the Lp term
+    is recorded unscaled.
 
     Subgradients at absolute-value kinks are 0.
     """
-    total = tape.scale(lp_loss(tape, y, pred, spec.p), spec.weight_p)
+    total = lp_loss(tape, y, pred, spec.p)
     if spec.weight_gdl != 0.0:
         total = tape.add(total, tape.scale(gdl_loss(tape, y, pred), spec.weight_gdl))
     return total
@@ -113,7 +112,9 @@ class AdamState:
     """Moment estimates keyed like the parameter map they mirror; the
     moment decays are BETA1 and BETA2, the denominator's offset EPS. The
     learning rate must be finite and positive: a NaN one would turn every
-    parameter into NaN at the first step."""
+    parameter into NaN at the first step. `step`, the updates taken so
+    far, must be an integer >= 0: from -1 the next bias correction
+    1 - BETA1**0 is 0, and every parameter would turn into NaN."""
 
     lr: float = BASE_LEARNING_RATE
     step: int = 0
@@ -121,6 +122,9 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.step = operator.index(self.step)
+        if self.step < 0:
+            raise ValueError(f"step must be >= 0, got {self.step}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
 

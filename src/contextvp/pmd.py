@@ -15,15 +15,16 @@ its directions grouped by (unit object, scan axis): under directional
 weight sharing (DWS), where opposite directions share one PMDUnit object,
 {t-}, {h-, h+} and {w-, w+}, else one direction per group. A group
 projects its input planes once (PatchRows, matmul, bias) and runs one
-recurrence per direction on that projection.
+recurrence per direction on that projection. The node's inputs are the
+cuboid, then each group's kx, ks and b, one gradient each.
 
 Bit-identity. The forward runs the float operations of the tape-composed
 step (conv2d, gate slices, sigmoid, tanh, mul, add) on contiguous buffers
 (see `_Sweep.forward`), so its values equal that chain's bit for bit. The
 ks and kx gradients are summed plane by plane in increasing plane index
-(`_kernel_grad`, or inside BPTT for a pair's - direction), so no backward
-buffer spans more than one plane; they differ from one whole-layer matmul
-by under 1e-14 of each tensor's largest entry.
+(`_kernel_grad`, or inside BPTT for a pair's - direction), so no
+kernel-gradient buffer spans more than one plane; they differ from one
+whole-layer matmul by under 1e-14 of each tensor's largest entry.
 
 Stored state. A recorded node keeps its output and, per direction, the
 gate activations `acts` [4Ch per position], all directions' in one
@@ -35,15 +36,15 @@ forward's bit for bit, on every backward of the tape.
 Backward phases, per group. A group holds one [L, *plane, 4Ch]
 pre-activation-gradient buffer. The critical phase, which the next node
 down the tape waits for, runs BPTT over the whole batch per direction,
-then takes the input gradient from the buffer: a lone direction's in one
-call, a pair's one plane at a time. In a pair, the + direction's BPTT
-fills the buffer and its ks gradient is read from it; the - direction's
-BPTT then makes each plane in a one-plane buffer, takes its ks term from
-it, and adds it into the buffer, which so holds the pair's sum, made once.
-The deferred phase then takes a lone direction's ks gradient, and the kx
-gradient and bias sum from the buffer, as one task whose gradients the
-node returns as futures (see `Tape.record`). A kx or b shared within a
-group gets its gradient once.
+then lowers the buffer to the input gradient, one call per batch slice.
+In a pair, the + direction's BPTT fills the buffer and its ks gradient is
+read from it; the - direction's BPTT then makes each plane in a one-plane
+buffer, takes its ks term from it, and adds it into the buffer, which so
+holds the pair's sum, made once. The deferred phase, one task whose
+gradients the node returns as futures (see `Tape.record`), then gives the
+group's [kx, ks, b]: the kx gradient and bias sum from the buffer, a
+lone direction's ks gradient from it too, and a pair's as the sum of its
+two directions' ks gradients, (-) + (+).
 
 Thread rule. A recorded node (the tape records and some input needs a
 gradient) runs its groups' forward and critical phases on a module-level
@@ -341,14 +342,14 @@ def _group_forward(group: list, x: np.ndarray, out: np.ndarray, b: slice) -> Non
 def _group_backward(group: list, batches: list, g: np.ndarray, out: np.ndarray, need_x: bool):
     """A direction group's critical phase: whole-batch BPTT per direction
     into one pre-activation-gradient buffer, then, when `need_x`, the
-    group's plane-first input gradient from it, one `_map` item per batch
-    slice. A pair is (h-, h+) or (w-, w+): the + direction's BPTT fills
-    the buffer and, when the unit needs gradients, its ks gradient is read
-    from it; then the - direction's BPTT adds each of its planes in and
-    takes its own ks gradient (`_Sweep.bptt`), so the buffer ends as the
-    pair's sum. A lone direction lowers its slice at once, a pair one plane
-    at a time. Returns ([the buffer], the pair's ks gradients or None, the
-    input gradient per batch slice or None)."""
+    group's plane-first input gradient from it, one `_map` item and one
+    `InputGrad` call per batch slice. A pair is (h-, h+) or (w-, w+): the
+    + direction's BPTT fills the buffer and, when the unit needs
+    gradients, its ks gradient is read from it; then the - direction's
+    BPTT adds each of its planes in and takes its own ks gradient
+    (`_Sweep.bptt`), so the buffer ends as the pair's sum. Returns ([the
+    buffer], the pair's (-, +) ks gradients or None, the input gradient
+    per batch slice or None)."""
     dpre = np.empty(group[-1].acts.shape)
     group[-1].bptt(g, dpre)
     gks = None
@@ -356,46 +357,35 @@ def _group_backward(group: list, batches: list, g: np.ndarray, out: np.ndarray, 
         minus, plus = group
         gk_plus = plus.state_kernel_grad(out, dpre) if plus.need_params else None
         gks = [minus.bptt(g, dpre, out), gk_plus]
+    if not need_x:
+        return [dpre], gks, None
     kx = group[0].kx
-
-    def input_grad(b):
-        d = dpre[:, b]
-        if len(group) == 1:
-            return InputGrad(d.shape, kx)(d)
-        lower = InputGrad((1,) + d.shape[1:], kx)
-        gx = np.empty(d.shape[:-1] + (kx.shape[2],))
-        for s in range(len(d)):
-            gx[s:s + 1] = lower(d[s:s + 1])
-        return gx
-
-    return [dpre], gks, list(_map(input_grad, batches, parallel=True)) if need_x else None
+    parts = _map(lambda b: InputGrad(dpre[:, b].shape, kx)(dpre[:, b]), batches, parallel=True)
+    return [dpre], gks, list(parts)
 
 
 def _param_grads(group: list, x, out, dpres: list, gks: list | None) -> list:
-    """A direction group's deferred phase: [kx gradient, bias sum, then
-    the ks gradient per direction], the kx gradient and bias sum from the
-    group's one pre-activation-gradient buffer. A lone direction's ks
-    gradient is taken here; a pair's, taken in its critical phase, come in
-    `gks`. The task owns the one-item list `dpres` and empties it, so the
-    buffer is freed when the task ends."""
+    """A direction group's deferred phase: [kx, ks, b] gradients of its
+    unit, the kx gradient and bias sum from the group's one
+    pre-activation-gradient buffer. A lone direction's ks gradient is taken
+    here; a pair's is the sum of its two directions' (-, +), taken in its
+    critical phase and passed in `gks`. The task owns the one-item list
+    `dpres` and empties it, so the buffer is freed when the task ends."""
     first, dpre = group[0], dpres.pop()
-    if gks is None:
-        gks = [first.state_kernel_grad(out, dpre)]
+    gks = first.state_kernel_grad(out, dpre) if gks is None else gks[0] + gks[1]
     gkx = _kernel_grad(first.planes(x), dpre, first.kx.shape)
-    return [gkx, dpre.reshape(-1, dpre.shape[-1]).sum(axis=0)] + gks
+    return [gkx, gks, dpre.reshape(-1, dpre.shape[-1]).sum(axis=0)]
 
 
 def _defer_param_grads(group: list, x, out, dpres: list, gks: list | None) -> list:
     """Start a group's deferred phase as one task, on the pool when it has
-    two or more threads. Returns its gradients as futures in the node's
-    input order, [kx, ks, b] per direction, None for the kx and b after
-    the first, which the group shares, and all None when the group's unit
-    needs no gradient."""
+    two or more threads. Returns its unit's [kx, ks, b] gradients as
+    futures, in the node's input order, or three None when the unit needs
+    no gradient."""
     if not group[0].need_params:
-        return [None] * (3 * len(group))
+        return [None] * 3
     task = _start(_param_grads, group, x, out, dpres, gks, parallel=_THREADS > 1)
-    gkx, gb, *gks = (_item(task, j) for j in range(2 + len(group)))
-    return [gkx, gks[0], gb] + [grad for f in gks[1:] for grad in (None, f, None)]
+    return [_item(task, j) for j in range(3)]
 
 
 def _item(task: Future, j: int) -> Future:
@@ -442,7 +432,8 @@ def _map(fn, items, parallel: bool):
 def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
     """Scan the [N, T, H, W, C] cuboid along every direction in `units`
     (direction -> PMDUnit; aliased units share parameters) as one tape
-    node. Any other rank raises ShapeError.
+    node, whose inputs are the cuboid and each direction group's kx, ks
+    and b (see the module docstring). Any other rank raises ShapeError.
 
     States start at zero (no prior). Returns the hidden states at every
     position, concatenated on the channel axis in DIRECTIONS order:
@@ -459,7 +450,11 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
             raise ShapeError(
                 f"cuboid has {cin} channels, {d} unit expects {units[d].in_channels}"
             )
-    inputs = (cuboid,) + tuple(t for d in directions for _, t in units[d].fields())
+    group_dirs = {}  # (unit, scan axis) -> its directions, in DIRECTIONS order
+    for d in directions:
+        group_dirs.setdefault((id(units[d]), _SCAN[d][0]), []).append(d)
+    # the cuboid, then each group's unit once
+    inputs = (cuboid,) + tuple(t for ds in group_dirs.values() for _, t in units[ds[0]].fields())
     keep = tape.recording and any(t.requires_grad for t in inputs)
     offsets = np.cumsum([0] + [units[d].hidden for d in directions])
     # every direction's stored activations are slices of one block per node.
@@ -468,13 +463,11 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
     # system and faulted in again after every step
     per_channel = 4 * math.prod(cuboid.data.shape[:-1])
     block = np.empty(per_channel * offsets[-1]) if keep else None
-    groups = {}  # (unit, scan axis) -> sweeps, in DIRECTIONS order
+    sweeps = {}
     for d, off, end in zip(directions, offsets, offsets[1:]):
         acts = None if block is None else block[per_channel * off:per_channel * end]
-        groups.setdefault((id(units[d]), _SCAN[d][0]), []).append(
-            _Sweep(d, units[d], cuboid, off, acts)
-        )
-    groups = list(groups.values())
+        sweeps[d] = _Sweep(d, units[d], cuboid, off, acts)
+    groups = [[sweeps[d] for d in ds] for ds in group_dirs.values()]
     x = cuboid.data
     out = np.empty(x.shape[:-1] + (int(offsets[-1]),))
     # a recorded one-group node splits its batch; every other node runs one
@@ -496,9 +489,7 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
             lambda group: _group_backward(group, batches, g, out, need_x), groups, parallel=True
         )
         # each group's deferred phase starts once its critical phase is
-        # read, so the t- group's buffer need not wait for a pair's BPTT.
-        # A pair's directions are neighbours in DIRECTIONS (h-, h+ and
-        # w-, w+), so the groups list the directions in that order
+        # read, so the t- group's buffer need not wait for a pair's BPTT
         for group, (dpres, gks, parts) in zip(groups, critical):
             grads += _defer_param_grads(group, x, out, dpres, gks)
             if need_x:

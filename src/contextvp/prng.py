@@ -47,7 +47,9 @@ class SplitMix64:
 
     def next_below(self, n: int) -> int:
         """Uniform-ish integer in [0, n). Modulo bias is irrelevant for the
-        desk-scale ranges used here and keeps the mapping trivial to port."""
+        desk-scale ranges used here and keeps the mapping trivial to port.
+        n must be an integer >= 1, checked before the state moves."""
+        n = operator.index(n)
         if n <= 0:
             raise ValueError("next_below needs n >= 1")
         return self.next_u64() % n

@@ -10,7 +10,10 @@ can be checked against the same float operations bit for bit, and its
 hand-written backward against the tape's per-op gradients. The
 tape-composed model (`composed_model`) stacks those scans with its own
 recorded per-pixel projection for the blend and the head, so the model's
-wiring is checked against its definition, gradients included.
+wiring is checked against its definition, gradients included. The
+frame symmetries (`SYMMETRIES`) map a model's parameters and frames to
+those of its mirrored or transposed twin from the definition of each
+scan's plane and order alone.
 """
 
 import numpy as np
@@ -339,3 +342,54 @@ def composed_model(tape: Tape, spec, params: dict, x: Tensor) -> Tensor:
                 cur = tape.concat([cur, outs[src - 1]], axis=4)
     last = tape.index(cur, 1, x.data.shape[1] - 1)
     return tape.sigmoid(pixel_projection(tape, last, params["head.weight"], params["head.bias"]))
+
+
+# -- symmetries of the frame -------------------------------------------------
+
+def _flip(axis):
+    return lambda kernel: np.flip(kernel, axis)
+
+
+# symmetry -> (the map of each group's kx and ks, the group each group
+# takes its unit from, the source block of each blend row block in the
+# order t-, h-, h+, w-, w+). A group's kernel axes are those of the plane
+# it convolves: t- (H, W), h (T, W), w (T, H). Mirroring W flips the t and
+# h kernels' W axis and swaps the w- and w+ states; the w group's plane
+# has no W axis, and its two directions share one unit. Transposing square
+# frames swaps the h and w groups whole
+SYMMETRIES = {
+    "mirror-w": ({"t-": _flip(1), "h": _flip(1)}, {}, (0, 1, 2, 4, 3)),
+    "mirror-h": ({"t-": _flip(0), "w": _flip(1)}, {}, (0, 2, 1, 3, 4)),
+    "transpose": ({"t-": lambda kernel: np.swapaxes(kernel, 0, 1)}, {"h": "w", "w": "h"},
+                  (0, 3, 4, 1, 2)),
+}
+
+
+def symmetric_frames(symmetry: str, a: np.ndarray, h_axis: int) -> np.ndarray:
+    """A copy of `a`, whose H axis is `h_axis` and W axis the next one,
+    mirrored along W or H, or with H and W transposed."""
+    if symmetry == "mirror-w":
+        return np.flip(a, h_axis + 1).copy()
+    if symmetry == "mirror-h":
+        return np.flip(a, h_axis).copy()
+    return np.swapaxes(a, h_axis, h_axis + 1).copy()
+
+
+def symmetric_params(symmetry: str, params: dict) -> dict:
+    """Under `symmetry`, the parameter arrays, named as `composed_model`
+    names them, of the model whose prediction for symmetric_frames(x) is
+    symmetric_frames(this model's prediction for x). Each map only moves
+    entries, so applied to this model's gradients it gives the twin's."""
+    kernels, source, order = SYMMETRIES[symmetry]
+    out = {}
+    for name in params:
+        parts = name.split(".")
+        group = parts[1] if len(parts) == 3 else None
+        a = params[f"{parts[0]}.{source[group]}.{parts[2]}" if group in source else name]
+        if group in kernels and parts[2] in ("kx", "ks"):
+            a = kernels[group](a)
+        elif parts[1:] == ["blend", "weight"]:
+            blocks = np.split(a, len(order), axis=2)
+            a = np.concatenate([blocks[j] for j in order], axis=2)
+        out[name] = np.ascontiguousarray(a)
+    return out

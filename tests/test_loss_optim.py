@@ -104,9 +104,9 @@ class TestCombinedLoss:
     def test_weighted_decomposition(self):
         rng = np.random.default_rng(6)
         y, p = frame(rng.uniform(size=(2, 5, 4, 2))), frame(rng.uniform(size=(2, 5, 4, 2)))
-        spec = LossSpec(p=1, weight_p=0.7, weight_gdl=1.3)
+        spec = LossSpec(p=1, weight_gdl=1.3)
         tape = Tape()
-        expected = 0.7 * lp_loss(tape, y, p, 1).data.item() + 1.3 * gdl_loss(
+        expected = lp_loss(tape, y, p, 1).data.item() + 1.3 * gdl_loss(
             tape, y, p
         ).data.item()
         assert combined_loss(tape, y, p, spec).data.item() == pytest.approx(
@@ -203,6 +203,15 @@ class TestAdam:
         with pytest.raises(ValueError, match="lr must be finite and positive"):
             AdamState(lr=lr)
 
+    @pytest.mark.parametrize("step, error", [(-1, ValueError), (2.5, TypeError), ("1", TypeError)])
+    def test_step_must_be_a_nonnegative_integer(self, step, error):
+        # from step -1 the next bias correction 1 - BETA1**0 is 0, and
+        # every parameter became NaN without a non-finite gradient
+        with pytest.raises(error, match="step|integer"):
+            AdamState(step=step)
+        state = AdamState(step=np.int64(3))
+        assert type(state.step) is int and state.step == 3
+
     def test_non_finite_gradient_names_parameter(self):
         p = Tensor(np.array(1.0), requires_grad=True)
         p.grad = np.array(np.nan)
@@ -238,12 +247,17 @@ class TestLossSpecDefaults:
         with pytest.raises(ValueError):
             LossSpec(p=3)
 
-    @pytest.mark.parametrize("name", ["weight_p", "weight_gdl"])
+    @pytest.mark.parametrize("name", ["weight_gdl"])
     @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), -float("inf")])
     def test_weight_must_be_finite_and_nonnegative(self, name, value):
         # a NaN or infinite weight would make combined_loss return nan
         with pytest.raises(ValueError, match=name):
             LossSpec(p=1, **{name: value})
+
+    def test_lp_term_has_no_weight(self):
+        # weight_gdl alone sets the ratio of the two terms
+        with pytest.raises(TypeError, match="weight_p"):
+            LossSpec(weight_p=1.0)
 
 
 class TestXavier:

@@ -41,7 +41,7 @@ from contextvp.model import (
     save_model,
 )
 from gradcheck import finite_diff_check
-from oracles import composed_model, pmd_step
+from oracles import SYMMETRIES, composed_model, pmd_step, symmetric_frames, symmetric_params
 
 
 def tiny_spec(**kw):
@@ -312,6 +312,63 @@ class TestComposedModel:
             assert np.max(np.abs(a - b)) <= 1e-12 * scale, name
 
 
+def assert_close(got, want, what, rel=1e-13):
+    """Within `rel` of the larger of the two tensors' largest entries."""
+    scale = max(np.max(np.abs(got)), np.max(np.abs(want)))
+    assert np.max(np.abs(got - want)) <= rel * scale, what
+
+
+class TestSymmetry:
+    """Mirror and transpose equivariance (`oracles.SYMMETRIES`): the twin
+    model's prediction, parameter gradients and input gradient on the
+    mirrored or transposed input are those of the model, mirrored or
+    transposed. The maps read only each scan's plane and order, so this
+    shares no code with the oracles. Not bit for bit: a flipped kernel
+    sums a patch row's products in another order, within 1e-13 of each
+    tensor's largest entry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=small_specs(), symmetry=st.sampled_from(sorted(SYMMETRIES)),
+           n=st.integers(1, 2), t=st.integers(1, 3), h=st.integers(1, 5), w=st.integers(1, 5),
+           seed=st.integers(0, 2**16))
+    def test_prediction_and_gradients_follow_the_symmetry(self, spec, symmetry, n, t, h, w, seed):
+        if symmetry == "transpose":  # square frames only
+            h = w
+        model, twin = build(spec, seed), build(spec, seed)
+        rng = np.random.default_rng(seed)
+        for name, p in model.parameters.items():
+            if name.endswith((".b", ".bias")):  # built at zero
+                p.data[...] = rng.uniform(-0.5, 0.5, size=p.shape)
+        values = {name: p.data for name, p in model.parameters.items()}
+        for name, a in symmetric_params(symmetry, values).items():
+            twin.parameters[name].data[...] = a
+        x = rng.uniform(size=(n, t, h, w, 1))
+        weights = rng.uniform(-1, 1, size=(n, h, w, 1))
+
+        def run(m, x, weights):
+            x = Tensor(x, requires_grad=True)
+            for p in m.parameters.values():
+                p.grad = None
+            tape = Tape()
+            pred = forward_cuboid(tape, m, x)
+            tape.backward(tape.sum(tape.mul(pred, Tensor(weights))))
+            grads = {name: np.zeros(p.shape) if p.grad is None else p.grad
+                     for name, p in m.parameters.items()}
+            return pred.data, x.grad, grads
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pmd, "_THREADS", 2)  # use the pool even on one core
+            pred, gx, grads = run(model, x, weights)
+            twin_pred, twin_gx, twin_grads = run(
+                twin, symmetric_frames(symmetry, x, 2), symmetric_frames(symmetry, weights, 1)
+            )
+        assert_close(twin_pred, symmetric_frames(symmetry, pred, 1), "prediction")
+        assert_close(twin_gx, symmetric_frames(symmetry, gx, 2), "input")
+        want = symmetric_params(symmetry, grads)
+        for name, got in twin_grads.items():
+            assert_close(got, want[name], name)
+
+
 class TestTraining:
     def test_default_step_records_at_most_50_nodes(self):
         # one fused node per layer instead of ~17 per plane step
@@ -321,13 +378,19 @@ class TestTraining:
         pred = forward_cuboid(tape, model, Tensor(rng.uniform(size=(4, 10, 16, 16, 1))))
         combined_loss(tape, Tensor(rng.uniform(size=(4, 16, 16, 1))), pred, LossSpec())
         # a scan node and a blend conv2d per layer, two skip concats, the
-        # head (index, conv2d, sigmoid), 21 loss nodes; blend and head
+        # head (index, conv2d, sigmoid), 20 loss nodes; blend and head
         # weights are stored as the 1x1 kernels they convolve with
-        assert len(tape.nodes) <= 34
+        assert len(tape.nodes) <= 33
         assert not [n for n in tape.nodes if n.kind == "reshape"]
-        # the cuboid, then kx, ks and b for each of the five directions
+        # the cuboid, then kx, ks and b for each of the three direction
+        # groups, a DWS pair's shared unit listed once; a baseline layer's
+        # one group lists its unit once too
         layer_nodes = [n for n in tape.nodes if n.kind == "pmd_layer"]
-        assert [len(n.inputs) for n in layer_nodes] == [1 + 5 * 3] * 4
+        assert [len(n.inputs) for n in layer_nodes] == [1 + 3 * 3] * 4
+        baseline = build(ModelSpec.convlstm_baseline(width=3, n_layers=2), 0)
+        tape = Tape()
+        forward_cuboid(tape, baseline, Tensor(rng.uniform(size=(1, 2, 4, 4, 1))))
+        assert [len(n.inputs) for n in tape.nodes if n.kind == "pmd_layer"] == [1 + 3] * 2
 
     def test_two_runs_of_two_steps_bit_identical(self, monkeypatch):
         monkeypatch.setattr(pmd, "_THREADS", 2)  # use the pool even on one core

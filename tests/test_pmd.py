@@ -341,10 +341,9 @@ class TestFusedLayer:
         tape.backward(tape.sum(out))
         assert built and set(built) <= {(n, h, w), (n, t, w), (n, t, h)}
 
-    def test_input_grad_lowers_a_pair_one_plane_at_a_time(self, monkeypatch):
-        # a DWS layer's lone t- lowers its whole pre-activation gradient at
-        # once; each pair adds its two directions' gradients one plane at a
-        # time and lowers that plane, so no sum spans the layer. BPTT's
+    def test_input_grad_lowers_each_group_whole(self, monkeypatch):
+        # every group of a DWS layer, the lone t- and each pair, lowers its
+        # whole pre-activation gradient (a pair's sum) in one call; BPTT's
         # state gradients are one plane without the leading plane axis
         monkeypatch.setattr(pmd, "_THREADS", 1)
         rng = np.random.default_rng(40)
@@ -363,7 +362,7 @@ class TestFusedLayer:
         monkeypatch.setattr(pmd, "InputGrad", spy)
         tape.backward(tape.sum(out))
         state_grads = {(n, h, w), (n, t, w), (n, t, h)}
-        assert set(built) == state_grads | {(t, n, h, w), (1, n, t, w), (1, n, t, h)}
+        assert set(built) == state_grads | {(t, n, h, w), (h, n, t, w), (w, n, t, h)}
 
     @pytest.mark.parametrize("layer", ["lone", "dws"])
     def test_recorded_node_holds_only_states_and_gate_activations(self, monkeypatch, layer):

@@ -51,6 +51,24 @@ class TestNextFloats:
         assert draws.min() >= 0.0 and draws.max() < 1.0
 
 
+class TestNextBelow:
+    def test_bound_must_be_an_integer(self):
+        # next_below(2.5) once returned the float 0.5
+        rng = SplitMix64(5)
+        with pytest.raises(TypeError, match="integer"):
+            rng.next_below(2.5)
+        assert rng.next_u64() == SplitMix64(5).next_u64()
+        # numpy integers are integers, and the result is a Python int
+        draw = SplitMix64(5).next_below(np.int64(7))
+        assert type(draw) is int and draw == SplitMix64(5).next_u64() % 7
+
+    def test_bound_below_one_refused_before_the_state_moves(self):
+        rng = SplitMix64(5)
+        with pytest.raises(ValueError, match="n >= 1"):
+            rng.next_below(0)
+        assert rng.next_u64() == SplitMix64(5).next_u64()
+
+
 class TestShuffle:
     def test_pinned_permutation(self):
         # Fisher-Yates from the top index down, j = next_u64() % (i + 1)
