@@ -122,11 +122,7 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.step = operator.index(self.step)
-        if self.step < 0:
-            raise ValueError(f"step must be >= 0, got {self.step}")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        self.step = _checked_step(self)
 
     @classmethod
     def for_parameters(cls, params: dict, lr: float = BASE_LEARNING_RATE):
@@ -137,19 +133,34 @@ class AdamState:
         return state
 
 
+def _checked_step(state: AdamState) -> int:
+    """state.step as an int, once `state.lr` and `state.step` are checked as
+    `AdamState` requires them (ValueError, or TypeError for a step that is
+    not an integer)."""
+    step = operator.index(state.step)
+    if step < 0:
+        raise ValueError(f"step must be >= 0, got {step}")
+    if not (np.isfinite(state.lr) and state.lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {state.lr}")
+    return step
+
+
 def adam_step(state: AdamState, params: dict) -> None:
     """One bias-corrected update, in parameter-map order, in place.
 
     Parameters with no gradient (``grad is None``) are left untouched but
-    their moments still decay, matching a zero gradient. Every gradient is
-    checked before anything changes: a non-finite one raises
-    FloatingPointError and leaves the step count, the moments and the
-    parameters as they were.
+    their moments still decay, matching a zero gradient. Everything is
+    checked before anything changes: `state.lr` and `state.step` as
+    `AdamState` checks them, which a caller may have reassigned since,
+    then every gradient, a non-finite one raising FloatingPointError. A
+    failed check leaves the step count, the moments and the parameters as
+    they were.
     """
+    step = _checked_step(state)
     for name, p in params.items():
         if p.grad is not None and not np.all(np.isfinite(p.grad)):
             raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-    state.step += 1
+    state.step = step + 1
     b1c = 1.0 - BETA1 ** state.step
     b2c = 1.0 - BETA2 ** state.step
     for name, p in params.items():

@@ -2,12 +2,14 @@
 prediction entry points, parameter accounting and the model file.
 
 Each layer runs its directional scans over the incoming cuboid and
-blends them with a pointwise linear projection. A skip pair (src, dst)
-concatenates layer `src`'s output cuboid onto layer `dst`'s along
-channels, for whatever consumes it: the next layer, or the head. The
-head projects the t = T slice of the final carry to the frame's
-channels with a 1x1 `Tape.conv2d`, as the blend does, and applies a
-sigmoid, so predictions always land in (0, 1).
+blends them with a pointwise linear projection: a ContextVP layer is one
+`pmd.blend` tape node, scans and blend, which keeps no states; a baseline
+layer, whose one t- scan is not blended, is one `pmd.pmd_layer` node. A
+skip pair (src, dst) concatenates layer `src`'s output cuboid onto layer
+`dst`'s along channels, for whatever consumes it: the next layer, or the
+head. The head projects the t = T slice of the final carry to the
+frame's channels with a 1x1 `Tape.conv2d`, the blend's arithmetic, and
+applies a sigmoid, so predictions always land in (0, 1).
 
 `param_shapes(spec)` is the parameter table, the one description of the
 parameters: every tensor's name and shape, in draw order, which is also
@@ -242,9 +244,10 @@ def forward_cuboid(tape: Tape, model: Model, x: Tensor) -> Tensor:
     outs = []
     cur = x
     for idx, layer in enumerate(model.layers, start=1):
-        cur = pmd_layer(tape, layer.units, cur)
-        if layer.blend is not None:
-            cur = blend(tape, cur, *layer.blend)
+        if layer.blend is None:
+            cur = pmd_layer(tape, layer.units, cur)
+        else:
+            cur = blend(tape, layer.units, cur, *layer.blend)
         outs.append(cur)
         for src, dst in spec.skip_pairs:
             if dst == idx:

@@ -10,13 +10,17 @@ GATES order (in, forget, out, cell), as Appleyard et al. 2016
 b [4Ch], gate j owning channels [j*Ch, (j+1)*Ch), so a plane step is one
 input and one state matmul.
 
-Direction groups. `pmd_layer` records a layer's scans as one tape node,
-its directions grouped by (unit object, scan axis): under directional
+Layer nodes. `pmd_layer` records a layer's scans as one tape node whose
+output is their states [N, T, H, W, sum of Ch]; `blend` records the scans
+and the 1x1 blend projection of their states as one node whose output is
+[N, T, H, W, N2], a whole ContextVP layer. Both are `_layer`. A node
+groups its directions by (unit object, scan axis): under directional
 weight sharing (DWS), where opposite directions share one PMDUnit object,
 {t-}, {h-, h+} and {w-, w+}, else one direction per group. A group
 projects its input planes once (PatchRows, matmul, bias) and runs one
 recurrence per direction on that projection. The node's inputs are the
-cuboid, then each group's kx, ks and b, one gradient each.
+cuboid, then each group's kx, ks and b, then `blend`'s weight and bias,
+one gradient each.
 
 Bit-identity. The forward runs the float operations of the tape-composed
 step (conv2d, gate slices, sigmoid, tanh, mul, add) on contiguous buffers
@@ -24,27 +28,41 @@ step (conv2d, gate slices, sigmoid, tanh, mul, add) on contiguous buffers
 ks and kx gradients are summed plane by plane in increasing plane index
 (`_kernel_grad`, or inside BPTT for a pair's - direction), so no
 kernel-gradient buffer spans more than one plane; they differ from one
-whole-layer matmul by under 1e-14 of each tensor's largest entry.
+whole-layer matmul by under 1e-14 of each tensor's largest entry. The
+blend takes `Tape.conv2d`'s 1x1 operations (forward rows @ W + b, input
+gradient g @ W[0, 0].T, weight gradient rows.T @ g, bias g summed), so a
+`blend` node's values and gradients are those of `Tape.conv2d` over a
+`pmd_layer` node, bit for bit.
 
-Stored state. A recorded node keeps its output and, per direction, the
+Stored state. A recorded node keeps its input and, per direction, the
 gate activations `acts` [4Ch per position], all directions' in one
-block; it keeps no cells. BPTT rebuilds a direction's cells from its
-`acts` (`_Sweep.cells`) with the forward's multiplies and adds on the
-same operands, which are correctly rounded, so the rebuilt cells are the
-forward's bit for bit, on every backward of the tape.
+block; it keeps no cells. A `pmd_layer` node keeps its output, the
+states; a `blend` node keeps no states, whose buffer dies after the blend
+matmul. BPTT rebuilds a direction's cells from its `acts`
+(`_Sweep.cells`) with the forward's multiplies and adds on the same
+operands, which are correctly rounded, so the rebuilt cells are the
+forward's bit for bit, on every backward of the tape; in a `blend` node
+it also rebuilds the states, out gate * tanh(cell), bit for bit too.
 
 Backward phases, per group. A group holds one [L, *plane, 4Ch]
-pre-activation-gradient buffer. The critical phase, which the next node
-down the tape waits for, runs BPTT over the whole batch per direction,
-then lowers the buffer to the input gradient, one call per batch slice.
-In a pair, the + direction's BPTT fills the buffer and its ks gradient is
-read from it; the - direction's BPTT then makes each plane in a one-plane
-buffer, takes its ks term from it, and adds it into the buffer, which so
-holds the pair's sum, made once. The deferred phase, one task whose
-gradients the node returns as futures (see `Tape.record`), then gives the
-group's [kx, ks, b]: the kx gradient and bias sum from the buffer, a
-lone direction's ks gradient from it too, and a pair's as the sum of its
-two directions' ks gradients, (-) + (+).
+pre-activation-gradient buffer. A `blend` node first takes its states'
+gradient g @ W[0, 0].T and makes one node-local states buffer, which each
+direction's BPTT fills, plane by plane, with the states it rebuilds. The
+critical phase, which the next node down the tape waits for, runs BPTT
+over the whole batch per direction, then lowers the buffer to the input
+gradient, one call per batch slice. In a pair, the + direction's BPTT
+fills the buffer and its ks gradient is read from it; the - direction's
+BPTT then makes each plane in a one-plane buffer, takes its ks term from
+it one plane later, once the state it pairs with is rebuilt, and adds it
+into the buffer, which so holds the pair's sum, made once. The deferred
+phase, one task whose gradients the node returns as futures (see
+`Tape.record`), then gives the group's [kx, ks, b]: the kx gradient and
+bias sum from the buffer, a lone direction's ks gradient from it and the
+states too, and a pair's as the sum of its two directions' ks gradients,
+(-) + (+). Once every group's critical phase is done, a `blend` node
+takes the weight gradient, one matmul over the states buffer, and the
+bias sum in the calling thread; the states buffer is freed with the
+node's last task.
 
 Thread rule. A recorded node (the tape records and some input needs a
 gradient) runs its groups' forward and critical phases on a module-level
@@ -217,34 +235,41 @@ class _Sweep:
             np.add(fc, cells[i], out=cells[i])
         return cells
 
-    def bptt(self, g: np.ndarray, dpre: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray | None:
+    def bptt(self, g: np.ndarray, dpre: np.ndarray, states: np.ndarray, rebuild: bool,
+             into_sum: bool = False) -> np.ndarray | None:
         """BPTT over the whole batch's planes in reverse scan order into the
         plane-first pre-activation gradients dpre. The float operations are
         those of the tape-composed step's backward, in the same order; every
         plane step writes into buffers made once. Each gate's products run
         in contiguous buffers and write its strided slice of a plane once.
 
-        Without `out`, each plane is written into dpre. Given the node's
-        output `out`, dpre holds the pair's other direction's gradients:
-        each plane is made in a one-plane buffer, its state gradient lowered
-        from that, and then added into dpre's plane. When the unit needs
-        gradients, this also returns the ks gradient, whose term for plane i
-        is rows(state of the plane before it in scan order).T @ plane i's
-        gradient: this direction scans in decreasing index, so BPTT meets
-        the planes in increasing index and sums the terms in
-        `_kernel_grad`'s order, bit for bit."""
+        `states` is shaped like the node's states [N, T, H, W, sum of Ch].
+        When `rebuild`, each plane's states are written into this
+        direction's channels of it as out gate * tanh(cell), the forward's
+        multiply on the forward's operands, so bit for bit; the tanh is the
+        one BPTT takes anyway. Otherwise it holds them already.
+
+        Without `into_sum`, each plane is written into dpre. With it, dpre
+        holds the pair's other direction's gradients: each plane is made in
+        a one-plane buffer, its state gradient lowered from that, and then
+        added into dpre's plane. When the unit needs gradients, this also
+        returns the ks gradient, whose term for plane i is rows(state of the
+        plane before it in scan order).T @ plane i's gradient. The term is
+        taken one plane later, once that state is written, while the
+        one-plane buffer still holds plane i. This direction scans in
+        decreasing index, so BPTT meets the planes in increasing index and
+        sums the terms in `_kernel_grad`'s order, bit for bit."""
         ch = self.ch
         gs = self.planes(g[..., self.span])
+        ss = self.planes(states[..., self.span])
         acts, cells = self.acts, self.cells()
         plane = cells.shape[1:-1]
         tc, t, u, d_s, d_c, dc = (np.empty(plane + (ch,)) for _ in range(6))
         state_grad = InputGrad(dpre.shape[1:], self.ks)
-        one_plane = None if out is None else np.empty(dpre.shape[1:])
+        one_plane = np.empty(dpre.shape[1:]) if into_sum else None
         rows = None
-        if out is not None and self.need_params:
-            states = self.planes(out[..., self.span])
-            rows = PatchRows(states.shape[1:], self.k, self.k)
+        if into_sum and self.need_params:
+            rows = PatchRows(ss.shape[1:], self.k, self.k)
             gks = np.zeros((rows.rows.shape[1], 4 * ch))
             term = np.empty(gks.shape)
         ds = None  # the state gradient from the plane after this one in scan order
@@ -256,6 +281,11 @@ class _Sweep:
             )
             d_in, d_forget, d_out, d_cand = (d[..., j * ch:(j + 1) * ch] for j in range(4))
             np.tanh(cells[i], out=tc)
+            if rebuild:
+                np.multiply(gate_out, tc, out=ss[i])
+            if rows is not None and ds is not None:  # d still holds the plane after
+                np.matmul(rows(ss[i]).T, d.reshape(-1, 4 * ch), out=term)
+                gks += term
             grad_s = gs[i] if ds is None else np.add(gs[i], ds, out=d_s)
             # d_c = grad_s * gate_out * (1 - tc^2) (+ dc)
             np.multiply(grad_s, gate_out, out=d_c)
@@ -277,18 +307,15 @@ class _Sweep:
                 _gate_grad(d_c, cells[self.order[q - 1]], gate_forget, u, t, out=d_forget)
                 np.multiply(d_c, gate_forget, out=dc)
                 ds = state_grad(d)
-                if rows is not None:
-                    np.matmul(rows(states[self.order[q - 1]]).T, d.reshape(-1, 4 * ch), out=term)
-                    gks += term
             if one_plane is not None:
                 np.add(dpre[i], one_plane, out=dpre[i])
         return None if rows is None else gks.reshape(self.ks.shape)
 
-    def state_kernel_grad(self, out: np.ndarray, dpre: np.ndarray) -> np.ndarray:
+    def state_kernel_grad(self, states: np.ndarray, dpre: np.ndarray) -> np.ndarray:
         """The ks gradient from this direction's pre-activation gradients,
         by `_kernel_grad`: plane i's gradient pairs with the state of the
         plane before it in scan order."""
-        states = self.planes(out[..., self.span])
+        states = self.planes(states[..., self.span])
         seen, fed = (slice(None, -1), slice(1, None))
         if self.reverse:
             seen, fed = fed, seen
@@ -339,7 +366,8 @@ def _group_forward(group: list, x: np.ndarray, out: np.ndarray, b: slice) -> Non
         sw.forward(proj, out, b)
 
 
-def _group_backward(group: list, batches: list, g: np.ndarray, out: np.ndarray, need_x: bool):
+def _group_backward(group: list, batches: list, g: np.ndarray, states: np.ndarray,
+                    rebuild: bool, need_x: bool):
     """A direction group's critical phase: whole-batch BPTT per direction
     into one pre-activation-gradient buffer, then, when `need_x`, the
     group's plane-first input gradient from it, one `_map` item and one
@@ -347,16 +375,17 @@ def _group_backward(group: list, batches: list, g: np.ndarray, out: np.ndarray, 
     + direction's BPTT fills the buffer and, when the unit needs
     gradients, its ks gradient is read from it; then the - direction's
     BPTT adds each of its planes in and takes its own ks gradient
-    (`_Sweep.bptt`), so the buffer ends as the pair's sum. Returns ([the
+    (`_Sweep.bptt`), so the buffer ends as the pair's sum. When `rebuild`,
+    each BPTT writes its direction's states into `states`. Returns ([the
     buffer], the pair's (-, +) ks gradients or None, the input gradient
     per batch slice or None)."""
     dpre = np.empty(group[-1].acts.shape)
-    group[-1].bptt(g, dpre)
+    group[-1].bptt(g, dpre, states, rebuild)
     gks = None
     if len(group) == 2:
         minus, plus = group
-        gk_plus = plus.state_kernel_grad(out, dpre) if plus.need_params else None
-        gks = [minus.bptt(g, dpre, out), gk_plus]
+        gk_plus = plus.state_kernel_grad(states, dpre) if plus.need_params else None
+        gks = [minus.bptt(g, dpre, states, rebuild, into_sum=True), gk_plus]
     if not need_x:
         return [dpre], gks, None
     kx = group[0].kx
@@ -364,27 +393,28 @@ def _group_backward(group: list, batches: list, g: np.ndarray, out: np.ndarray, 
     return [dpre], gks, list(parts)
 
 
-def _param_grads(group: list, x, out, dpres: list, gks: list | None) -> list:
+def _param_grads(group: list, x, states, dpres: list, gks: list | None) -> list:
     """A direction group's deferred phase: [kx, ks, b] gradients of its
     unit, the kx gradient and bias sum from the group's one
     pre-activation-gradient buffer. A lone direction's ks gradient is taken
-    here; a pair's is the sum of its two directions' (-, +), taken in its
-    critical phase and passed in `gks`. The task owns the one-item list
-    `dpres` and empties it, so the buffer is freed when the task ends."""
+    here from `states`; a pair's is the sum of its two directions' (-, +),
+    taken in its critical phase and passed in `gks`. The task owns the
+    one-item list `dpres` and empties it, so the buffer is freed when the
+    task ends."""
     first, dpre = group[0], dpres.pop()
-    gks = first.state_kernel_grad(out, dpre) if gks is None else gks[0] + gks[1]
+    gks = first.state_kernel_grad(states, dpre) if gks is None else gks[0] + gks[1]
     gkx = _kernel_grad(first.planes(x), dpre, first.kx.shape)
     return [gkx, gks, dpre.reshape(-1, dpre.shape[-1]).sum(axis=0)]
 
 
-def _defer_param_grads(group: list, x, out, dpres: list, gks: list | None) -> list:
+def _defer_param_grads(group: list, x, states, dpres: list, gks: list | None) -> list:
     """Start a group's deferred phase as one task, on the pool when it has
     two or more threads. Returns its unit's [kx, ks, b] gradients as
     futures, in the node's input order, or three None when the unit needs
     no gradient."""
     if not group[0].need_params:
         return [None] * 3
-    task = _start(_param_grads, group, x, out, dpres, gks, parallel=_THREADS > 1)
+    task = _start(_param_grads, group, x, states, dpres, gks, parallel=_THREADS > 1)
     return [_item(task, j) for j in range(3)]
 
 
@@ -439,6 +469,33 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
     position, concatenated on the channel axis in DIRECTIONS order:
     [N, T, H, W, sum of Ch].
     """
+    return _layer(tape, units, cuboid, None)
+
+
+def pmd_scan(tape: Tape, unit: PMDUnit, cuboid: Tensor, direction: str) -> Tensor:
+    """Run the unit over every plane of the [N, T, H, W, C] cuboid along
+    `direction`: a one-direction `pmd_layer`. Returns [N, T, H, W, Ch]."""
+    return pmd_layer(tape, {direction: unit}, cuboid)
+
+
+def blend(tape: Tape, units: dict, cuboid: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """A whole ContextVP layer as one tape node: the scans of `pmd_layer`,
+    then their states, concatenated in DIRECTIONS order, projected
+    pointwise to [N, T, H, W, N2] by the 1x1 kernel `weight`
+    [1, 1, sum of Ch, N2], one row per state channel, and bias [N2]. The
+    node's inputs are `pmd_layer`'s, then weight and bias. The projection
+    is `Tape.conv2d`'s 1x1 arithmetic, so its values and gradients are
+    those of `tape.conv2d(pmd_layer(tape, units, cuboid), weight, bias)`
+    bit for bit; the node keeps no states (see the module docstring). A
+    weight of any other shape, or a bias that is not [N2], raises
+    ShapeError.
+    """
+    return _layer(tape, units, cuboid, (weight, bias))
+
+
+def _layer(tape: Tape, units: dict, cuboid: Tensor, mix) -> Tensor:
+    """`pmd_layer` when `mix` is None, else `blend` with mix = (weight,
+    bias)."""
     directions = [d for d in DIRECTIONS if d in units]
     if not directions or len(directions) != len(units):
         raise ValueError(f"directions {sorted(units)} not a non-empty subset of {DIRECTIONS}")
@@ -450,75 +507,86 @@ def pmd_layer(tape: Tape, units: dict, cuboid: Tensor) -> Tensor:
             raise ShapeError(
                 f"cuboid has {cin} channels, {d} unit expects {units[d].in_channels}"
             )
+    offsets = np.cumsum([0] + [units[d].hidden for d in directions])
+    width = int(offsets[-1])
+    if mix is not None:
+        weight, bias = mix
+        if weight.data.ndim != 4 or weight.shape[:2] != (1, 1):
+            raise ShapeError(f"blend weight must be a 1x1 kernel, got shape {weight.shape}")
+        if weight.shape[2] != width:
+            raise ShapeError(
+                f"blend weight has {weight.shape[2]} rows, states have {width} channels: "
+                "it needs one row per state channel"
+            )
+        n2 = weight.shape[3]
+        if bias.data.shape != (n2,):
+            raise ShapeError(f"blend bias shape {bias.data.shape} != ({n2},) from weight axis 3")
     group_dirs = {}  # (unit, scan axis) -> its directions, in DIRECTIONS order
     for d in directions:
         group_dirs.setdefault((id(units[d]), _SCAN[d][0]), []).append(d)
-    # the cuboid, then each group's unit once
+    # the cuboid, then each group's unit once, then the blend's weight and bias
     inputs = (cuboid,) + tuple(t for ds in group_dirs.values() for _, t in units[ds[0]].fields())
+    if mix is not None:
+        inputs += (weight, bias)
     keep = tape.recording and any(t.requires_grad for t in inputs)
-    offsets = np.cumsum([0] + [units[d].hidden for d in directions])
     # every direction's stored activations are slices of one block per node.
     # Freed whole, a block this large raises glibc's trim threshold (twice
     # the largest mapping freed), so the heap is not handed back to the
     # system and faulted in again after every step
     per_channel = 4 * math.prod(cuboid.data.shape[:-1])
-    block = np.empty(per_channel * offsets[-1]) if keep else None
+    block = np.empty(per_channel * width) if keep else None
     sweeps = {}
     for d, off, end in zip(directions, offsets, offsets[1:]):
         acts = None if block is None else block[per_channel * off:per_channel * end]
         sweeps[d] = _Sweep(d, units[d], cuboid, off, acts)
     groups = [[sweeps[d] for d in ds] for ds in group_dirs.values()]
     x = cuboid.data
-    out = np.empty(x.shape[:-1] + (int(offsets[-1]),))
+    states = np.empty(x.shape[:-1] + (width,))
     # a recorded one-group node splits its batch; every other node runs one
     # task per group
     n = x.shape[0]
     chunks = min(n, _THREADS) if keep and len(groups) == 1 else 1
     batches = [slice(n * j // chunks, n * (j + 1) // chunks) for j in range(chunks)]
     list(_map(
-        lambda task: _group_forward(task[0], x, out, task[1]),
+        lambda task: _group_forward(task[0], x, states, task[1]),
         [(group, b) for group in groups for b in batches],
         parallel=keep,
     ))
+    if mix is None:
+        out = stored = states
+    else:
+        # Tape.conv2d's 1x1 forward; the node keeps no states, BPTT rebuilds them
+        w = weight.data
+        out = (states.reshape(-1, width) @ w.reshape(width, n2)).reshape(x.shape[:-1] + (n2,))
+        out = out + bias.data
+        stored = None
 
-    def backward(g):
+    def backward(gy):
+        rebuild = stored is None
+        if rebuild:  # Tape.conv2d's 1x1 input gradient
+            g = np.matmul(gy, w[0, 0].T)
+            states = np.empty(g.shape)
+        else:
+            g, states = gy, stored
         need_x = cuboid.requires_grad
         gx = np.zeros(x.shape) if need_x else None
         grads = []
         critical = _map(
-            lambda group: _group_backward(group, batches, g, out, need_x), groups, parallel=True
+            lambda group: _group_backward(group, batches, g, states, rebuild, need_x),
+            groups, parallel=True,
         )
         # each group's deferred phase starts once its critical phase is
         # read, so the t- group's buffer need not wait for a pair's BPTT
         for group, (dpres, gks, parts) in zip(groups, critical):
-            grads += _defer_param_grads(group, x, out, dpres, gks)
+            grads += _defer_param_grads(group, x, states, dpres, gks)
             if need_x:
                 for b, part in zip(batches, parts):
                     gx[b] += np.moveaxis(part, 0, group[0].axis)
+        if rebuild:  # every state is rebuilt: Tape.conv2d's 1x1 parameter gradients
+            gy2 = gy.reshape(-1, n2)
+            grads.append((states.reshape(-1, width).T @ gy2).reshape(w.shape)
+                         if weight.requires_grad else None)
+            grads.append(gy2.sum(axis=0) if bias.requires_grad else None)
         return [gx] + grads
 
     return tape.record("pmd_layer", inputs, out, backward)
-
-
-def pmd_scan(tape: Tape, unit: PMDUnit, cuboid: Tensor, direction: str) -> Tensor:
-    """Run the unit over every plane of the [N, T, H, W, C] cuboid along
-    `direction`: a one-direction `pmd_layer`. Returns [N, T, H, W, Ch]."""
-    return pmd_layer(tape, {direction: unit}, cuboid)
-
-
-def blend(tape: Tape, states: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Project the directional states, concatenated in DIRECTIONS order
-    ([..., 5*N1], as `pmd_layer` returns them), pointwise to [..., N2]:
-    a 1x1 convolution with the 1x1 kernel `weight` [1, 1, 5*N1, N2], one
-    row per state channel, and bias [N2]. Any other weight shape raises
-    ShapeError.
-    """
-    if weight.data.ndim != 4 or weight.shape[:2] != (1, 1):
-        raise ShapeError(f"blend weight must be a 1x1 kernel, got shape {weight.shape}")
-    rows, channels = weight.shape[2], states.data.shape[-1]
-    if rows != channels:
-        raise ShapeError(
-            f"blend weight has {rows} rows, states have {channels} channels: "
-            "it needs one row per state channel"
-        )
-    return tape.conv2d(states, weight, bias)

@@ -212,6 +212,34 @@ class TestAdam:
         state = AdamState(step=np.int64(3))
         assert type(state.step) is int and state.step == 3
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("lr", float("nan"), ValueError), ("lr", float("inf"), ValueError),
+        ("lr", 0.0, ValueError), ("lr", -1e-3, ValueError), ("step", -1, ValueError),
+        ("step", 2.5, TypeError),
+    ], ids=["lr-nan", "lr-inf", "lr-zero", "lr-negative", "step-minus-one", "step-float"])
+    def test_step_rechecks_reassigned_state(self, field, value, error):
+        # a training loop assigns state.lr from the schedule after
+        # construction; a NaN one used to turn every parameter NaN
+        rng = np.random.default_rng(10)
+        params = {name: Tensor(rng.uniform(size=(2, 3)), requires_grad=True) for name in "ab"}
+        state = AdamState.for_parameters(params)
+        for p in params.values():
+            p.grad = rng.uniform(-1, 1, size=(2, 3))
+        adam_step(state, params)
+        setattr(state, field, value)
+        before = {
+            name: (p.data.copy(), state.m[name].copy(), state.v[name].copy())
+            for name, p in params.items()
+        }
+        with pytest.raises(error, match=f"{field}|integer"):
+            adam_step(state, params)
+        assert state.step == (value if field == "step" else 1)
+        for name, p in params.items():
+            data, m, v = before[name]
+            np.testing.assert_array_equal(p.data, data)
+            np.testing.assert_array_equal(state.m[name], m)
+            np.testing.assert_array_equal(state.v[name], v)
+
     def test_non_finite_gradient_names_parameter(self):
         p = Tensor(np.array(1.0), requires_grad=True)
         p.grad = np.array(np.nan)

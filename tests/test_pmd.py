@@ -24,6 +24,7 @@ from oracles import (
     composed_scan,
     convlstm_forward,
     pixel_blend,
+    pixel_projection,
     pmd_step,
     scalar_lstm_step,
 )
@@ -578,71 +579,159 @@ class TestFusedLayer:
                 pmd_layer(Tape(), {"t-": zero_unit(3, 1, 2)}, Tensor(np.zeros(shape)))
 
 
-def make_states(rng, shape=(2, 3, 3, 4)):
-    return [Tensor(rng.uniform(-1, 1, size=shape)) for _ in DIRECTIONS]
+def scanned(rng, shape=(1, 2, 3, 4, 2), ch=4):
+    """Five untied direction units of Ch = 4 over a cuboid, as `blend`
+    takes them (20 state channels), and the states `pmd_layer` gives."""
+    units = {d: make_unit(3, shape[-1], ch, rng) for d in DIRECTIONS}
+    x = Tensor(rng.uniform(size=shape))
+    return units, x, pmd_layer(Tape(), units, x).data
 
 
-def concat_states(s_list):
-    """The five directional states as pmd_layer returns them."""
-    return Tensor(np.concatenate([s.data for s in s_list], axis=-1))
+def frozen_dws(rng):
+    """DWS units, aliased as `aliased_units` makes them, needing no gradient."""
+    units = aliased_units(rng, 2, 3)
+    frozen = {id(u): PMDUnit(*(Tensor(t.data) for _, t in u.fields())) for u in units.values()}
+    return {d: frozen[id(u)] for d, u in units.items()}
+
+
+# POOL_LAYERS, and one whose blend alone needs gradients: the node still
+# rebuilds the states for the weight gradient
+BLEND_LAYERS = {**POOL_LAYERS, "frozen-scan": frozen_dws}
 
 
 class TestBlending:
+    """`blend` records a layer's scans and its 1x1 projection as one node."""
+
     def test_weighted_matches_pixel_oracle(self):
         rng = np.random.default_rng(14)
-        s_list = make_states(rng)
+        units, x, states = scanned(rng)
         w = rng.uniform(-1, 1, size=(20, 3))
         b = rng.uniform(-1, 1, size=3)
-        out = blend(Tape(), concat_states(s_list), Tensor(w[None, None]), Tensor(b))
-        ref = pixel_blend([s.data for s in s_list], w, b)
-        np.testing.assert_allclose(out.data, ref, atol=1e-12)
+        out = blend(Tape(), units, x, Tensor(w[None, None]), Tensor(b))
+        ref = pixel_blend(np.split(states[0], len(DIRECTIONS), axis=-1), w, b)
+        np.testing.assert_allclose(out.data[0], ref, atol=1e-12)
 
     def test_weighted_with_replicated_blocks_reproduces_uniform(self):
         # one block repeated for all five directions projects the sum of
         # the directional states, which is what uniform blending meant
         rng = np.random.default_rng(15)
-        s_list = make_states(rng)
+        units, x, states = scanned(rng)
         v = rng.uniform(-1, 1, size=(4, 3))
         b = rng.uniform(-1, 1, size=3)
-        uniform = sum(s.data for s in s_list) @ v + b
-        weighted = blend(Tape(), concat_states(s_list), Tensor(np.vstack([v] * 5)[None, None]),
-                         Tensor(b))
+        uniform = sum(np.split(states, len(DIRECTIONS), axis=-1)) @ v + b
+        weighted = blend(Tape(), units, x, Tensor(np.vstack([v] * 5)[None, None]), Tensor(b))
         np.testing.assert_allclose(weighted.data, uniform, atol=1e-12)
 
     def test_weighted_block_sparsity_ignores_spatial(self):
+        # a weight whose spatial rows are zero blends as the t- scan alone
         rng = np.random.default_rng(16)
-        s_list = make_states(rng)
+        units, x, _ = scanned(rng)
         w = np.zeros((20, 3))
         w[:4] = rng.uniform(-1, 1, size=(4, 3))  # only the t- block
-        pair = (Tensor(w[None, None]), Tensor(np.zeros(3)))
-        out_full = blend(Tape(), concat_states(s_list), *pair)
-        zeroed = [s_list[0]] + [Tensor(np.zeros_like(s.data)) for s in s_list[1:]]
-        out_zeroed = blend(Tape(), concat_states(zeroed), *pair)
-        np.testing.assert_allclose(out_full.data, out_zeroed.data, atol=1e-15)
+        bias = Tensor(np.zeros(3))
+        out_full = blend(Tape(), units, x, Tensor(w[None, None]), bias)
+        out_time = blend(Tape(), {"t-": units["t-"]}, x, Tensor(w[None, None, :4]), bias)
+        np.testing.assert_allclose(out_full.data, out_time.data, atol=1e-15)
 
     def test_mode_mismatch_rejected(self):
         # the 20 state channels take a weight of 20 rows; any other row
         # count raises: 4, a fifth as many, and 5 * 20 = 100 too
-        rng = np.random.default_rng(17)
-        states = concat_states(make_states(rng))
+        units, x, _ = scanned(np.random.default_rng(17))
         for rows in (1, 4, 5, 8, 19, 21, 100):
             with pytest.raises(ShapeError, match=f"{rows} rows, states have 20 channels"):
-                blend(Tape(), states, Tensor(np.zeros((1, 1, rows, 4))), Tensor(np.zeros(4)))
+                blend(Tape(), units, x, Tensor(np.zeros((1, 1, rows, 4))), Tensor(np.zeros(4)))
 
     @pytest.mark.parametrize("shape", [(4, 3), (3, 3, 4, 3)], ids=["matrix", "3x3"])
     def test_weight_must_be_a_1x1_kernel(self, shape):
-        states = concat_states(make_states(np.random.default_rng(19)))
+        units, x, _ = scanned(np.random.default_rng(19))
         with pytest.raises(ShapeError, match="1x1 kernel"):
-            blend(Tape(), states, Tensor(np.zeros(shape)), Tensor(np.zeros(3)))
+            blend(Tape(), units, x, Tensor(np.zeros(shape)), Tensor(np.zeros(3)))
 
     def test_bias_must_match_weight_columns(self):
-        states = concat_states(make_states(np.random.default_rng(19)))
+        units, x, _ = scanned(np.random.default_rng(19))
         with pytest.raises(ShapeError, match="bias shape"):
-            blend(Tape(), states, Tensor(np.zeros((1, 1, 20, 3))), Tensor(np.zeros(4)))
+            blend(Tape(), units, x, Tensor(np.zeros((1, 1, 20, 3))), Tensor(np.zeros(4)))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("layer", BLEND_LAYERS)
+    def test_equals_conv2d_of_the_scan_node_bit_for_bit(self, monkeypatch, layer, threads):
+        # the node rebuilds the states in its BPTT for the weight gradient
+        # and the ks gradients: the same bits as the two-node chain, also
+        # on a second backward of the same tape
+        monkeypatch.setattr(pmd, "_THREADS", threads)
+        rng = np.random.default_rng(44)
+        units = BLEND_LAYERS[layer](rng)
+        width = sum(u.hidden for u in units.values())
+        shape = (3, 3, 4, 5, 2)
+        x = Tensor(rng.uniform(size=shape), requires_grad=layer != "frozen-scan")
+        weight = Tensor(rng.uniform(-1, 1, size=(1, 1, width, 3)), requires_grad=True)
+        bias = Tensor(rng.uniform(-1, 1, size=3), requires_grad=True)
+        mix = Tensor(rng.uniform(-1, 1, size=shape[:-1] + (3,)))
+        tensors = [x, weight, bias] + [t for u in units.values() for _, t in u.fields()]
 
-def layer_forward(tape, units, cuboid, weight, bias):
-    return blend(tape, pmd_layer(tape, units, cuboid), weight, bias)
+        def run(layer_fn, repeats=1):
+            tape = Tape()
+            out = layer_fn(tape)
+            loss = tape.sum(tape.mul(out, mix))
+            for _ in range(repeats):
+                tape.backward(loss)
+            return [out.data] + [None if t.grad is None else t.grad.copy() for t in tensors]
+
+        fused = run(lambda tape: blend(tape, units, x, weight, bias), repeats=2)
+        chained = run(lambda tape: tape.conv2d(pmd_layer(tape, units, x), weight, bias))
+        assert fused[1 + 1] is not None  # the weight gradient
+        for got, want in zip(fused, chained):
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+
+    def test_gradients_match_composed_oracle(self):
+        rng = np.random.default_rng(45)
+        units = aliased_units(rng, 2, 3)
+        shape = (2, 3, 4, 5, 2)
+        x = Tensor(rng.uniform(size=shape), requires_grad=True)
+        weight = Tensor(rng.uniform(-1, 1, size=(1, 1, 15, 4)), requires_grad=True)
+        bias = Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
+        weights = rng.uniform(-1, 1, size=shape[:-1] + (4,))
+        fused, fused_grads = run_with_grads(
+            lambda tape, u, c: blend(tape, u, c, weight, bias), units, x, weights)
+        fused_grads += [weight.grad.copy(), bias.grad.copy()]
+        ref, ref_grads = run_with_grads(
+            lambda tape, u, c: pixel_projection(tape, composed_layer(tape, u, c), weight, bias),
+            units, x, weights)
+        ref_grads += [weight.grad, bias.grad]
+        np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+        for got, want in zip(fused_grads, ref_grads):
+            assert rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("layer", ["lone", "dws"])
+    def test_recorded_node_holds_gate_activations_and_its_output(self, monkeypatch, layer):
+        # the node keeps no states: 4Ch values per position and direction
+        # beside its [N, T, H, W, N2] output, whatever the states' width.
+        # One direction's states are 128 KiB here; the slack covers the
+        # node's Python objects, about 10 KiB under DWS
+        monkeypatch.setattr(pmd, "_THREADS", 1)
+        rng = np.random.default_rng(46)
+        ch = 8
+        units = (
+            {"t-": make_unit(3, 2, ch, rng, grad=True)} if layer == "lone"
+            else aliased_units(rng, 2, ch)
+        )
+        x = Tensor(rng.uniform(size=(2, 4, 16, 16, 2)), requires_grad=True)
+        weight = Tensor(rng.uniform(-1, 1, size=(1, 1, len(units) * ch, 2)), requires_grad=True)
+        bias = Tensor(np.zeros(2), requires_grad=True)
+        positions = np.prod(x.shape[:-1])
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            out = blend(tape, units, x, weight, bias)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        acts = len(units) * positions * 4 * ch * 8
+        assert out.data.nbytes == positions * 2 * 8
+        assert 0 <= held - (out.data.nbytes + acts) < 32 * 1024
 
 
 def untied_copy_of(units):
@@ -707,8 +796,8 @@ class TestDirectionalWeightSharing:
         frames = Tensor(rng.uniform(size=(1, 2, 4, 4, 1)))
         pair = (Tensor(np.vstack([np.eye(2)] * 5)[None, None]), Tensor(np.zeros(2)))
         tied = {**units, "h+": units["h-"], "w+": units["w-"]}
-        before = layer_forward(Tape(), units, frames, *pair).data
-        after = layer_forward(Tape(), tied, frames, *pair).data
+        before = blend(Tape(), units, frames, *pair).data
+        after = blend(Tape(), tied, frames, *pair).data
         np.testing.assert_array_equal(before, after)
 
     def test_incompatible_shapes_rejected(self):
